@@ -49,6 +49,7 @@ from .topology import (
     materialize,
     neighbor_sets,
     neighbors,
+    product_factors,
     v_set,
 )
 from .analysis import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import analysis, hamiltonian, routing, symmetry
 from .topology import TopologyKind, bh_neighbors, block_graph, D_BSQ_LABEL, materialize, neighbor_sets
-from .words import Dimension, get_block, make_block, pair1, format_vertex
+from .words import Dimension, differing_blocks, get_block, make_block, pair1, format_vertex
 
 FULL_PAIR_SCAN_N = 6          # exhaustive ordered-pair checks at this size
 SAMPLED_MAP_PAIRS = 200       # automorphism pairs sampled for n > 6
@@ -382,7 +382,7 @@ def _equivalence_claims(run: _Runner, n: int):
     pattern = analysis.bsq_pattern_pairs(n)
     blockwise_ok = True
     for u, v in pattern:
-        j = next(j for j in range(1, dim.k + 1) if get_block(u, j, dim) != get_block(v, j, dim))
+        (j,) = differing_blocks(u, v, dim)
         nu = _changed_block_neighbors(g, nbr_sets, g.index_of(u), j, dim)
         nv = _changed_block_neighbors(g, nbr_sets, g.index_of(v), j, dim)
         if nu != nv:

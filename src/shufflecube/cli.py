@@ -1,6 +1,6 @@
 """Command-line front end: generate, analyze, route, hamiltonian, verify-claims.
 
-Exit codes: 0 success, 1 a claim or validation failed, 2 usage error.
+Exit codes: 0 success, 1 a claim or validation failed, 2 usage or I/O error.
 All data output is byte-deterministic for fixed arguments; verify-claims
 keeps its timing section separate so `--no-timing` output can be compared
 across runs.
@@ -168,9 +168,17 @@ def _cmd_route(args) -> int:
     return 0
 
 
+def _fixture(args) -> hamiltonian.HamiltonianCycle:
+    """The --fixture cycle; a usage error unless it is a cycle of --kind at --n."""
+    cycle = hamiltonian.fixture_h1() if args.fixture == "h1" else hamiltonian.fixture_h2()
+    if cycle.kind is not args.kind or cycle.n != args.n:
+        raise ValueError(f"fixture {args.fixture} is a {cycle.kind.value}_{cycle.n} cycle")
+    return cycle
+
+
 def _load_cycle(args, dim: Dimension):
     if args.fixture:
-        return (hamiltonian.fixture_h1() if args.fixture == "h1" else hamiltonian.fixture_h2()).vertices
+        return _fixture(args).vertices
     if args.input is None:
         raise InvalidVertexError("validate needs --fixture or --input")
     if args.input == "-":
@@ -184,13 +192,7 @@ def _load_cycle(args, dim: Dimension):
 def _cmd_hamiltonian(args) -> int:
     dim = Dimension(args.n)
     if args.ham_command == "emit":
-        if args.fixture:
-            cycle = hamiltonian.fixture_h1() if args.fixture == "h1" else hamiltonian.fixture_h2()
-            if cycle.kind is not args.kind or cycle.n != args.n:
-                print(f"fixture {args.fixture} is a {cycle.kind.value}_{cycle.n} cycle", file=sys.stderr)
-                return 2
-        else:
-            cycle = hamiltonian.hamiltonian_cycle(args.kind, dim)
+        cycle = _fixture(args) if args.fixture else hamiltonian.hamiltonian_cycle(args.kind, dim)
         for w in cycle.vertices:
             print(format_vertex(w, dim))
         return 0
@@ -231,7 +233,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InvalidVertexError, ResourceLimitError, ValueError) as exc:
+    except (InvalidVertexError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

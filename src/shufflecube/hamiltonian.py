@@ -16,9 +16,8 @@ from .words import Dimension, VertexWord, h4
 from .topology import (
     TopologyKind,
     block_graph,
-    B_SSQ_LABEL,
+    block_graph_for,
     C4_LABEL,
-    D_BSQ_LABEL,
     adjacent,
     materialize,
     MATERIALIZE_CAP,
@@ -88,17 +87,9 @@ def snake_product(outer: Sequence[int], inner: Sequence, combine=lambda g, h: (g
     return out
 
 
-_FACTOR_LABEL = {
-    TopologyKind.SSQ: B_SSQ_LABEL,
-    TopologyKind.BSQ: D_BSQ_LABEL,
-}
-
-
 def hamiltonian_cycle(kind: TopologyKind, dim: Dimension) -> HamiltonianCycle:
     """Deterministic Hamiltonian cycle of SSQ_n or BSQ_n via folded snake products."""
-    if kind not in _FACTOR_LABEL:
-        raise ValueError(f"Hamiltonian construction covers SSQ and BSQ, not {kind.value}")
-    block_nodes = factor_cycle(_FACTOR_LABEL[kind]).nodes
+    block_nodes = factor_cycle(block_graph_for(kind).label).nodes
     count = 4 * len(block_nodes) ** dim.k
     if count > MATERIALIZE_CAP:
         raise ResourceLimitError(f"{kind.value}_{dim.n} cycle has {count} vertices, above the cap")

@@ -1,107 +1,58 @@
 """Shortest-path routing for SSQ and BSQ and their closed-form diameters.
 
-Both topologies are block products: distance is the sum of per-block factor
-distances plus the tail's mod-4 cycle distance, so routing fixes one block at
-a time.  SSQ blocks take one step when the needed XOR lies in V_00 and two
-steps (XOR 1111, then a pair2 fix) otherwise.  BSQ blocks follow the
-BFS-derived next-hop table of the 16-node block graph.  The tail walks the
-shorter mod-4 direction, choosing +1 twice when the two directions tie.
+Both topologies are Cartesian products F^k □ C4 (`topology.product_factors`),
+so distance is the sum of the factor distances and a shortest path fixes one
+block at a time: blocks 1..k in ascending order, then the tail, each walked
+by its factor's next-hop table.  A next hop is the first shortest-hop move in
+the order the factor lists its moves.  B tries XOR 1111 before 0001, 0010 and
+0011, so a block two steps away passes through its complement first; D lists
+its moves in ascending order; the C4 tail steps +1 before -1, so it takes +1
+twice when the two directions tie.
 """
 from __future__ import annotations
 
-from .errors import InvalidVertexError
-from .words import Dimension, VertexWord, get_block, set_block, pair2
-from .topology import (
-    TopologyKind,
-    V_SETS,
-    block_graph,
-    block_graph_for,
-    C4_LABEL,
-    is_valid_vertex,
-)
+from .words import Dimension, VertexWord, get_block, set_block
+from .topology import TopologyKind, _require_valid, product_factors
 
 RoutePath = list  # vertex words from source to destination inclusive
 
 
-def _require(kind: TopologyKind, dim: Dimension, *words: VertexWord) -> None:
-    for w in words:
-        if not is_valid_vertex(kind, dim, w):
-            raise InvalidVertexError(f"word {w:#x} is not a vertex of {kind.value}_{dim.n}")
-
-
 def distance_of(kind: TopologyKind, dim: Dimension, u: VertexWord, v: VertexWord) -> int:
-    """Exact distance via the per-block factor tables plus the tail cycle."""
-    if kind not in (TopologyKind.SSQ, TopologyKind.BSQ):
-        raise ValueError(f"distance decomposition applies to SSQ and BSQ, not {kind.value}")
-    _require(kind, dim, u, v)
-    factor = block_graph_for(kind)
-    total = sum(
-        factor.distance(get_block(u, j, dim), get_block(v, j, dim))
-        for j in range(1, dim.k + 1)
-    )
-    return total + block_graph(C4_LABEL).distance(get_block(u, 0, dim), get_block(v, 0, dim))
+    """Exact distance: the sum over blocks of the factor distances."""
+    factors = product_factors(kind, dim)
+    _require_valid(kind, dim, u, v)
+    return sum(f.distance(get_block(u, j, dim), get_block(v, j, dim)) for j, f in enumerate(factors))
 
 
-def _tail_steps(src_tail: int, dst_tail: int) -> list[int]:
-    diff = (dst_tail - src_tail) % 4
-    if diff == 0:
-        return []
-    if diff == 1:
-        return [1]
-    if diff == 3:
-        return [-1]
-    return [1, 1]
-
-
-def _route_tail(kind: TopologyKind, dim: Dimension, path: RoutePath, dst: VertexWord) -> None:
-    cur = path[-1]
-    for step in _tail_steps(get_block(cur, 0, dim), get_block(dst, 0, dim)):
-        cur = set_block(cur, 0, (get_block(cur, 0, dim) + step) % 4, dim)
-        path.append(cur)
+def _walk(kind: TopologyKind, dim: Dimension, src: VertexWord, dst: VertexWord) -> RoutePath:
+    factors = product_factors(kind, dim)
+    _require_valid(kind, dim, src, dst)
+    path = [src]
+    cur = src
+    for j in (*range(1, dim.k + 1), 0):
+        hop = factors[j].hop
+        target = get_block(dst, j, dim)
+        while (b := get_block(cur, j, dim)) != target:
+            cur = set_block(cur, j, hop(b, target), dim)
+            path.append(cur)
+    return path
 
 
 def route_ssq(dim: Dimension, src: VertexWord, dst: VertexWord) -> RoutePath:
-    """A shortest src->dst path in SSQ_n, blocks fixed in ascending order."""
-    _require(TopologyKind.SSQ, dim, src, dst)
-    path = [src]
-    cur = src
-    for j in range(1, dim.k + 1):
-        bu, bv = get_block(cur, j, dim), get_block(dst, j, dim)
-        if bu == bv:
-            continue
-        delta = bu ^ bv
-        if delta in V_SETS[0]:
-            cur = set_block(cur, j, bv, dim)
-            path.append(cur)
-        else:
-            cur = set_block(cur, j, bu ^ 0b1111, dim)
-            path.append(cur)
-            cur = set_block(cur, j, bv, dim)
-            path.append(cur)
-    _route_tail(TopologyKind.SSQ, dim, path, dst)
-    return path
+    """A shortest src->dst path in SSQ_n, blocks fixed in ascending order, tail last."""
+    return _walk(TopologyKind.SSQ, dim, src, dst)
 
 
 def route_bsq(dim: Dimension, src: VertexWord, dst: VertexWord) -> RoutePath:
-    """A shortest src->dst path in BSQ_n via the block next-hop table."""
-    _require(TopologyKind.BSQ, dim, src, dst)
-    factor = block_graph_for(TopologyKind.BSQ)
-    path = [src]
-    cur = src
-    for j in range(1, dim.k + 1):
-        target = get_block(dst, j, dim)
-        while get_block(cur, j, dim) != target:
-            cur = set_block(cur, j, factor.hop(get_block(cur, j, dim), target), dim)
-            path.append(cur)
-    _route_tail(TopologyKind.BSQ, dim, path, dst)
-    return path
+    """A shortest src->dst path in BSQ_n, blocks fixed in ascending order, tail last."""
+    return _walk(TopologyKind.BSQ, dim, src, dst)
 
 
 def diameter_formula(kind: TopologyKind, n: int) -> int:
-    """Closed-form diameter: (n-2)/2 + 2 for SSQ (2 at n = 2), n for BSQ."""
+    """Closed-form diameter: (n-2)/2 + 2 for SSQ, n for BSQ."""
     Dimension(n)
     if kind is TopologyKind.SSQ:
-        return 2 if n == 2 else (n - 2) // 2 + 2
+        return (n - 2) // 2 + 2
     if kind is TopologyKind.BSQ:
         return n
     raise ValueError(f"no diameter formula for {kind.value}")

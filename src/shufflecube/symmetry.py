@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidVertexError
-from .words import Dimension, VertexWord, get_block, set_block, pair1, pair2, make_block
-from .topology import TopologyKind, is_valid_vertex, materialize, neighbor_sets
+from .words import Dimension, VertexWord, blocks, get_block, set_block, pair1, pair2, make_block
+from .topology import TopologyKind, _require_valid, materialize, neighbor_sets
 
 TRANSLATE = "translate"
 REFLECT = "reflect"
@@ -42,18 +42,13 @@ class AutomorphismSpec:
 
 def build_phi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
     """The XOR map sending v to u on SSQ vertices."""
-    for w in (u, v):
-        if not is_valid_vertex(TopologyKind.SSQ, dim, w):
-            raise InvalidVertexError(f"word {w:#x} is not an SSQ_{dim.n} vertex")
-    offsets = tuple(get_block(u, j, dim) ^ get_block(v, j, dim) for j in range(dim.k + 1))
-    return AutomorphismSpec("phi", dim, xor_offsets=offsets)
+    _require_valid(TopologyKind.SSQ, dim, u, v)
+    return AutomorphismSpec("phi", dim, xor_offsets=blocks(u ^ v, dim))
 
 
 def build_psi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
     """The translate/reflect map sending v to u on BSQ vertices."""
-    for w in (u, v):
-        if not 0 <= w <= dim.mask:
-            raise InvalidVertexError(f"word {w:#x} is not a BSQ_{dim.n} vertex")
+    _require_valid(TopologyKind.BSQ, dim, u, v)
     maps = []
     for j in range(1, dim.k + 1):
         bu, bv = get_block(u, j, dim), get_block(v, j, dim)

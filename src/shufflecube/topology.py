@@ -6,12 +6,17 @@ Supported kinds:
 * SQ   - shuffle cube: a cross edge flips one 4-bit block by a value from the
          V-set selected by the vertex's two lowest bits; the 2-bit tail is a
          Hamming-1 Q_2.
-* SSQ  - simplified shuffle cube: blocks restricted to pair1 in {00, 11}, all
-         block flips drawn from V_00; the tail steps +-1 mod 4.
-* BSQ  - balanced shuffle cube: a block edge moves pair1 by +-1 mod 4 and
-         leaves pair2 alone or shifts it by (-1)^(pair1 low bit); the tail
+* SSQ  - simplified shuffle cube B^k □ C4: blocks restricted to pair1 in
+         {00, 11}, block flips drawn from V_00; the tail steps +-1 mod 4.
+* BSQ  - balanced shuffle cube D^k □ C4: a block edge moves pair1 by +-1 mod 4
+         and leaves pair2 alone or shifts it by (-1)^(pair1 low bit); the tail
          steps +-1 mod 4.
 * BH   - balanced hypercube on radix-4 coordinate tuples (own vertex type).
+
+SSQ and BSQ are Cartesian products: `product_factors` gives each block its
+factor `BlockGraph` (the C4 tail, then k copies of B or D), and their vertex
+sets, neighbors and adjacency all read the factor tables.  SQ is not a
+product: the V-set of a block flip depends on the tail.
 
 The tail semantics for SSQ and BSQ follow the cyclic order 00,01,10,11; for Q
 and SQ the tail is the Hamming-1 four-cycle.  Both are C4s, so no structural
@@ -22,12 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import deque
 from functools import lru_cache
+from math import prod
 from enum import Enum
 
 from .errors import InvalidVertexError, ResourceLimitError
 from .words import (
     Dimension,
     VertexWord,
+    block_width,
+    differing_blocks,
     get_block,
     set_block,
     pair1,
@@ -67,57 +75,43 @@ def is_valid_vertex(kind: TopologyKind, dim: Dimension, u: VertexWord) -> bool:
     """Whether u belongs to the vertex set of the given topology.
 
     Q, SQ and BSQ use all 2^n words; SSQ keeps only words whose blocks
-    j >= 1 have pair1 in {00, 11}.
+    j >= 1 are nodes of B, that is have pair1 in {00, 11}.
     """
     if kind is TopologyKind.BH:
         raise ValueError("BH vertices are coordinate tuples; use bh_neighbors")
     if not 0 <= u <= dim.mask:
         return False
-    if kind is not TopologyKind.SSQ:
+    if kind in (TopologyKind.Q, TopologyKind.SQ):
         return True
-    return all(pair1(get_block(u, j, dim)) in (0, 3) for j in range(1, dim.k + 1))
+    for j, nodes in _partial_factors(kind, dim):
+        if get_block(u, j, dim) not in nodes:
+            return False
+    return True
 
 
-def _require_valid(kind: TopologyKind, dim: Dimension, u: VertexWord) -> None:
-    if not is_valid_vertex(kind, dim, u):
-        raise InvalidVertexError(f"word {u:#0{dim.n + 2}b} is not a vertex of {kind.value}_{dim.n}")
-
-
-def _tail_adjacent_mod4(a: int, b: int) -> bool:
-    return (a - b) % 4 in (1, 3)
-
-
-def _bsq_block_adjacent(bu: int, bv: int) -> bool:
-    p1u, p2u = pair1(bu), pair2(bu)
-    p1v, p2v = pair1(bv), pair2(bv)
-    if (p1v - p1u) % 4 not in (1, 3):
-        return False
-    shift = -1 if p1u & 1 else 1
-    return p2v == p2u or p2v == (p2u + shift) % 4
+def _require_valid(kind: TopologyKind, dim: Dimension, *words: VertexWord) -> None:
+    for u in words:
+        if not is_valid_vertex(kind, dim, u):
+            raise InvalidVertexError(f"word {u:0{dim.n}b} is not a vertex of {kind.value}_{dim.n}")
 
 
 def adjacent(kind: TopologyKind, dim: Dimension, u: VertexWord, v: VertexWord) -> bool:
     """Adjacency oracle; u == v returns False."""
-    _require_valid(kind, dim, u)
-    _require_valid(kind, dim, v)
+    _require_valid(kind, dim, u, v)
     if u == v:
         return False
     if kind is TopologyKind.Q:
         return hamming(u, v) == 1
-    diff = [j for j in range(dim.k + 1) if get_block(u, j, dim) != get_block(v, j, dim)]
+    diff = differing_blocks(u, v, dim)
     if len(diff) != 1:
         return False
     j = diff[0]
     bu, bv = get_block(u, j, dim), get_block(v, j, dim)
+    if kind is not TopologyKind.SQ:
+        return bv in product_factors(kind, dim)[j].adj[bu]
     if j == 0:
-        if kind is TopologyKind.SQ:
-            return hamming(bu, bv) == 1
-        return _tail_adjacent_mod4(bu, bv)
-    if kind is TopologyKind.SQ:
-        return (bu ^ bv) in V_SETS[get_block(u, 0, dim)]
-    if kind is TopologyKind.SSQ:
-        return (bu ^ bv) in V_SETS[0]
-    return _bsq_block_adjacent(bu, bv)
+        return hamming(bu, bv) == 1
+    return (bu ^ bv) in V_SETS[get_block(u, 0, dim)]
 
 
 def neighbors(kind: TopologyKind, dim: Dimension, u: VertexWord) -> list[VertexWord]:
@@ -125,33 +119,15 @@ def neighbors(kind: TopologyKind, dim: Dimension, u: VertexWord) -> list[VertexW
     _require_valid(kind, dim, u)
     if kind is TopologyKind.Q:
         return sorted(u ^ (1 << i) for i in range(dim.n))
-    out = []
-    tail = get_block(u, 0, dim)
-    if kind is TopologyKind.SQ:
-        out.extend(u ^ 1 << i for i in (0, 1))
-        deltas = V_SETS[tail]
-        for j in range(1, dim.k + 1):
-            bu = get_block(u, j, dim)
-            out.extend(set_block(u, j, bu ^ d, dim) for d in deltas)
-    else:
-        out.extend(set_block(u, 0, (tail + d) % 4, dim) for d in (1, 3))
-        for j in range(1, dim.k + 1):
-            bu = get_block(u, j, dim)
-            if kind is TopologyKind.SSQ:
-                out.extend(set_block(u, j, bu ^ d, dim) for d in V_SETS[0])
-            else:
-                out.extend(set_block(u, j, b, dim) for b in _bsq_block_neighbors(bu))
+    if kind is not TopologyKind.SQ:
+        factors = enumerate(product_factors(kind, dim))
+        return sorted(set_block(u, j, b, dim) for j, f in factors for b in f.adj[get_block(u, j, dim)])
+    out = [u ^ 1, u ^ 2]
+    deltas = V_SETS[get_block(u, 0, dim)]
+    for j in range(1, dim.k + 1):
+        bu = get_block(u, j, dim)
+        out.extend(set_block(u, j, bu ^ d, dim) for d in deltas)
     return sorted(out)
-
-
-def _bsq_block_neighbors(b: int) -> list[int]:
-    p1, p2 = pair1(b), pair2(b)
-    shift = -1 if p1 & 1 else 1
-    return [
-        make_block(p1 + d, p2 + s)
-        for d in (1, -1)
-        for s in (0, shift)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +152,18 @@ class BlockGraph:
         return self.dist[(a, b)]
 
     def hop(self, a: int, b: int) -> int:
-        """First move of a shortest a->b walk (lowest-valued shortest-hop neighbor)."""
+        """First move of a shortest a->b walk, in the order the factor lists its moves."""
         return self.next_hop[(a, b)]
 
     def eccentricity(self, a: int) -> int:
         return max(self.dist[(a, b)] for b in self.nodes)
 
 
-def _build_block_graph(label: str, nodes, nbr_fn) -> BlockGraph:
+def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
+    """BFS tables of a factor whose node a has the neighbors moves(a), in that order."""
     nodes = tuple(sorted(nodes))
-    adj = {a: tuple(sorted(nbr_fn(a))) for a in nodes}
+    listed = {a: tuple(moves(a)) for a in nodes}
+    adj = {a: tuple(sorted(listed[a])) for a in nodes}
     dist: dict[tuple[int, int], int] = {}
     next_hop: dict[tuple[int, int], int] = {}
     for src in nodes:
@@ -201,22 +179,28 @@ def _build_block_graph(label: str, nodes, nbr_fn) -> BlockGraph:
             dist[(src, dst)] = d[dst]
     for src in nodes:
         for dst in nodes:
-            if src == dst:
-                continue
-            next_hop[(src, dst)] = min(w for w in adj[src] if dist[(w, dst)] == dist[(src, dst)] - 1)
+            if src != dst:
+                next_hop[(src, dst)] = next(w for w in listed[src] if dist[(w, dst)] == dist[(src, dst)] - 1)
     return BlockGraph(label, nodes, adj, dist, next_hop)
+
+
+def _d_moves(b: int) -> list[int]:
+    """D: pair1 steps +-1 mod 4 and pair2 stays or shifts by (-1)^(pair1 low bit); ascending."""
+    p1, p2 = pair1(b), pair2(b)
+    shift = -1 if p1 & 1 else 1
+    return sorted(make_block(p1 + d, p2 + s) for d in (1, -1) for s in (0, shift))
 
 
 @lru_cache(maxsize=None)
 def block_graph(label: str) -> BlockGraph:
     """The factor graph for one coordinate: C4 tail, SSQ block B, or BSQ block D."""
     if label == C4_LABEL:
-        return _build_block_graph(label, range(4), lambda a: [(a + 1) % 4, (a - 1) % 4])
+        return _build_block_graph(label, range(4), lambda a: [(a + s) % 4 for s in (1, -1)])
     if label == B_SSQ_LABEL:
         nodes = [b for b in range(16) if pair1(b) in (0, 3)]
-        return _build_block_graph(label, nodes, lambda a: [a ^ d for d in V_SETS[0]])
+        return _build_block_graph(label, nodes, lambda a: [a ^ d for d in (0b1111, 0b0001, 0b0010, 0b0011)])
     if label == D_BSQ_LABEL:
-        return _build_block_graph(label, range(16), _bsq_block_neighbors)
+        return _build_block_graph(label, range(16), _d_moves)
     raise ValueError(f"unknown block graph label {label!r}")
 
 
@@ -225,7 +209,20 @@ def block_graph_for(kind: TopologyKind) -> BlockGraph:
         return block_graph(B_SSQ_LABEL)
     if kind is TopologyKind.BSQ:
         return block_graph(D_BSQ_LABEL)
-    raise ValueError(f"{kind.value} has no product block graph")
+    raise ValueError(f"only SSQ and BSQ are block products, not {kind.value}")
+
+
+@lru_cache(maxsize=None)
+def product_factors(kind: TopologyKind, dim: Dimension) -> tuple[BlockGraph, ...]:
+    """The factor of each block of SSQ_n = B^k □ C4 or BSQ_n = D^k □ C4: the C4 tail, then blocks 1..k."""
+    return (block_graph(C4_LABEL),) + (block_graph_for(kind),) * dim.k
+
+
+@lru_cache(maxsize=None)
+def _partial_factors(kind: TopologyKind, dim: Dimension) -> tuple[tuple[int, frozenset], ...]:
+    """(j, factor nodes) for the blocks whose factor leaves out some block values."""
+    factors = enumerate(product_factors(kind, dim))
+    return tuple((j, frozenset(f.nodes)) for j, f in factors if len(f.nodes) < 1 << block_width(j))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +264,9 @@ class CubeGraph:
         return len(self.nbrs[i])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def neighbor_sets(g: CubeGraph) -> tuple[frozenset, ...]:
-    """Per-vertex neighbor index sets, cached per graph."""
+    """Per-vertex neighbor index sets, cached for the two graphs used last."""
     return tuple(frozenset(row) for row in g.nbrs)
 
 
@@ -279,22 +276,25 @@ def materialize(kind: TopologyKind, n: int) -> CubeGraph:
     dim = Dimension(n)
     if kind is TopologyKind.BH:
         raise ValueError("BH is not materialized as a CubeGraph; use bh_neighbors")
-    if kind is TopologyKind.SSQ:
-        count = 1 << (3 * n + 2) // 4
-    else:
-        count = 1 << n
+    factors = () if kind in (TopologyKind.Q, TopologyKind.SQ) else product_factors(kind, dim)
+    count = prod(len(f.nodes) for f in factors) if factors else 1 << n
     if count > MATERIALIZE_CAP:
         raise ResourceLimitError(
             f"{kind.value}_{n} has {count} vertices, above the {MATERIALIZE_CAP} cap"
         )
-    if kind is TopologyKind.SSQ:
-        words = tuple(u for u in range(1 << n) if is_valid_vertex(kind, dim, u))
-    else:
-        words = tuple(range(1 << n))
+    words = _product_words(factors, dim) if factors else tuple(range(count))
     index = {u: i for i, u in enumerate(words)}
     nbrs = tuple(tuple(index[v] for v in neighbors(kind, dim, u)) for u in words)
     edge_count = sum(len(row) for row in nbrs) // 2
     return CubeGraph(kind, n, words, index, nbrs, edge_count)
+
+
+def _product_words(factors, dim: Dimension) -> tuple[VertexWord, ...]:
+    """Every word whose block j is a node of factors[j], ascending."""
+    words = [0]
+    for j, factor in enumerate(factors):
+        words = [w | s for s in [set_block(0, j, b, dim) for b in factor.nodes] for w in words]
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------

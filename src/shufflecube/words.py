@@ -67,18 +67,16 @@ def get_block(u: VertexWord, j: int, dim: Dimension) -> BlockValue:
     """Value of block j: bits 4j+1..4j-2 for j >= 1, bits 1..0 for j = 0."""
     if not 0 <= j <= dim.k:
         raise IndexError(f"block index {j} out of range 0..{dim.k}")
-    return (u >> _block_shift(j)) & ((1 << block_width(j)) - 1)
+    return (u >> (4 * j - 2)) & 0b1111 if j else u & 0b11
 
 
 def set_block(u: VertexWord, j: int, value: BlockValue, dim: Dimension) -> VertexWord:
     """Copy of u with block j replaced; other bits untouched."""
-    if not 0 <= j <= dim.k:
-        raise IndexError(f"block index {j} out of range 0..{dim.k}")
+    old = get_block(u, j, dim)
     width = block_width(j)
     if not 0 <= value < (1 << width):
         raise ValueError(f"block {j} value must fit in {width} bits, got {value}")
-    shift = _block_shift(j)
-    return (u & ~(((1 << width) - 1) << shift)) | (value << shift)
+    return u ^ ((old ^ value) << _block_shift(j))
 
 
 def blocks(u: VertexWord, dim: Dimension) -> tuple[BlockValue, ...]:
@@ -113,18 +111,20 @@ def hamming(u: VertexWord, v: VertexWord) -> int:
     return (u ^ v).bit_count()
 
 
+def differing_blocks(u: VertexWord, v: VertexWord, dim: Dimension) -> list[int]:
+    """Indices of the blocks where u and v differ, ascending."""
+    x = u ^ v
+    return [j for j in range(dim.k + 1) if get_block(x, j, dim)]
+
+
 def h4(u: VertexWord, v: VertexWord, dim: Dimension) -> int:
     """Number of blocks j in 0..k where u and v differ."""
-    return sum(1 for j in range(dim.k + 1) if get_block(u, j, dim) != get_block(v, j, dim))
+    return len(differing_blocks(u, v, dim))
 
 
 def h4_star(u: VertexWord, v: VertexWord, dim: Dimension) -> int:
     """Number of blocks j in 1..k where u and v differ (block 0 excluded)."""
-    return sum(1 for j in range(1, dim.k + 1) if get_block(u, j, dim) != get_block(v, j, dim))
-
-
-def differing_blocks(u: VertexWord, v: VertexWord, dim: Dimension) -> list[int]:
-    return [j for j in range(dim.k + 1) if get_block(u, j, dim) != get_block(v, j, dim)]
+    return sum(1 for j in differing_blocks(u, v, dim) if j)
 
 
 def pair1(block: BlockValue) -> int:

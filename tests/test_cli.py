@@ -112,6 +112,14 @@ class TestRoute:
         assert code == 2
         assert "position" in err
 
+    def test_non_vertex_is_named_in_bits(self, capsys):
+        code, out, err = run_cli(
+            capsys, "route", "--kind", "ssq", "--n", "6", "--from", "010000", "--to", "000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: word 010000 is not a vertex of SSQ_6\n"
+
     def test_sq_not_routable(self, capsys):
         code, _, err = run_cli(
             capsys, "route", "--kind", "sq", "--n", "6", "--from", "000000", "--to", "000001"
@@ -158,6 +166,31 @@ class TestHamiltonian:
         )
         assert code == 2
 
+    def test_validate_fixture_mismatch_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hamiltonian", "validate", "--kind", "ssq", "--n", "10", "--fixture", "h1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "fixture h1 is a SSQ_6 cycle" in err
+
+    def test_validate_missing_input_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "hamiltonian", "validate", "--kind", "ssq", "--n", "6",
+            "--input", str(tmp_path / "missing.txt"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "missing.txt" in err
+
+    def test_validate_directory_input_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "hamiltonian", "validate", "--kind", "ssq", "--n", "6", "--input", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerifyClaims:
     def test_bad_dimension_is_usage_error(self, capsys):
@@ -189,6 +222,13 @@ class TestVerifyClaims:
         assert code == 0
         assert json.loads(target.read_text())["overall_pass"] is True
         assert "overall: PASS" in out
+
+    def test_unwritable_json_path_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify-claims", "6", "--json", str(target), "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "report.json" in err
 
     def test_timing_section_present_by_default(self, capsys):
         _, out, _ = run_cli(capsys, "verify-claims", "6")

@@ -19,13 +19,15 @@ from shufflecube import (
     is_valid_vertex,
     make_block,
     materialize,
+    neighbor_sets,
     neighbors,
     pair1,
     pair2,
     parse_vertex,
+    product_factors,
     v_set,
 )
-from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec
+from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
 
 D6 = Dimension(6)
 D10 = Dimension(10)
@@ -71,6 +73,14 @@ class TestAdjacent:
         for u in words:
             for v in words:
                 assert adjacent(kind, D6, u, v) == rec(6, u, v), (u, v)
+
+    @pytest.mark.parametrize("kind", list(RECURSIVE))
+    def test_matches_recursive_definition_exhaustive_n2(self, kind):
+        rec = RECURSIVE[kind]
+        dim = Dimension(2)
+        for u in range(4):
+            for v in range(4):
+                assert adjacent(kind, dim, u, v) == rec(2, u, v), (u, v)
 
     @pytest.mark.parametrize("kind", list(RECURSIVE))
     def test_matches_recursive_definition_sampled_n10(self, kind):
@@ -147,6 +157,19 @@ class TestBlockGraphs:
                     assert hop in bg.adj[a]
                     assert bg.dist[(hop, b)] == bg.dist[(a, b)] - 1
 
+    def test_hop_tie_break_follows_listed_moves(self):
+        # C4 lists +1 before -1; B lists XOR 1111 before 0001, 0010, 0011.
+        assert block_graph(C4_LABEL).hop(1, 3) == 2
+        assert block_graph(B_SSQ_LABEL).hop(0b0000, 0b1100) == 0b1111
+
+    def test_d_hop_is_the_lowest_shortest_move(self):
+        bg = block_graph(D_BSQ_LABEL)
+        for a in bg.nodes:
+            for b in bg.nodes:
+                if a != b:
+                    shortest = [w for w in bg.adj[a] if bg.distance(w, b) == bg.distance(a, b) - 1]
+                    assert bg.hop(a, b) == min(shortest)
+
     def test_d_matches_bh2_rule_on_all_blocks(self):
         bg = block_graph(D_BSQ_LABEL)
         for b in bg.nodes:
@@ -196,6 +219,40 @@ class TestMaterialize:
             return (total + (u & 3)) % 2
 
         assert all(cls(g.word_of(i)) != cls(g.word_of(j)) for i, j in g.edges())
+
+
+    @pytest.mark.parametrize("kind", list(RECURSIVE))
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_rows_match_recursive_definition(self, kind, n):
+        rec = RECURSIVE[kind]
+        valid = ssq_valid_rec if kind is TopologyKind.SSQ else (lambda n, u: True)
+        g = materialize(kind, n)
+        assert list(g.words) == [u for u in range(1 << n) if valid(n, u)]
+        for i, u in enumerate(g.words):
+            assert [g.words[j] for j in g.nbrs[i]] == [v for v in g.words if rec(n, u, v)]
+
+    def test_neighbor_sets_cache_holds_two_graphs(self):
+        neighbor_sets.cache_clear()
+        for kind in (TopologyKind.Q, TopologyKind.SQ, TopologyKind.BSQ):
+            neighbor_sets(materialize(kind, 6))
+        assert neighbor_sets.cache_info().currsize <= 2
+
+
+class TestProductFactors:
+    def test_tail_first_then_block_factors(self):
+        c4, b, d = block_graph(C4_LABEL), block_graph(B_SSQ_LABEL), block_graph(D_BSQ_LABEL)
+        assert product_factors(TopologyKind.SSQ, D6) == (c4, b)
+        assert product_factors(TopologyKind.BSQ, D10) == (c4, d, d)
+        assert product_factors(TopologyKind.BSQ, Dimension(2)) == (c4,)
+
+    def test_sq_is_not_a_product(self):
+        with pytest.raises(ValueError):
+            product_factors(TopologyKind.SQ, D6)
+
+    def test_vertex_count_is_the_product_of_factor_sizes(self):
+        for kind in (TopologyKind.SSQ, TopologyKind.BSQ):
+            sizes = [len(f.nodes) for f in product_factors(kind, D10)]
+            assert materialize(kind, 10).num_vertices == sizes[0] * sizes[1] ** 2
 
 
 class TestBalancedHypercube:
