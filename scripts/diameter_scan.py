@@ -36,13 +36,11 @@ def scan(n_values):
                 f"{kind.value}_{n}: diameter {measured.value} ({measured.method}), "
                 f"closed form {formula}, ecc(0) = {ecc} attained at {shown}"
             )
-            ones = dim.mask
-            print(
-                f"  all-ones vertex {format_vertex(ones, dim)} sits at distance "
-                f"{dist[g.index_of(ones)]}" if kind is TopologyKind.BSQ else
-                f"  vertex {format_vertex(int('1101' * dim.k + '11', 2) if dim.k else 3, dim)} "
-                f"sits at distance {dist[g.index_of(int('1101' * dim.k + '11', 2) if dim.k else 3)]}"
-            )
+            if kind is TopologyKind.BSQ:
+                label, witness = "all-ones vertex", dim.mask
+            else:
+                label, witness = "vertex", int("1101" * dim.k + "11", 2)
+            print(f"  {label} {format_vertex(witness, dim)} sits at distance {dist[g.index_of(witness)]}")
 
 
 if __name__ == "__main__":

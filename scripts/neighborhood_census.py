@@ -16,7 +16,6 @@ from shufflecube import (
     bsq_pattern_pairs,
     format_vertex,
     materialize,
-    neighbor_sets,
     neighbors,
     same_neighborhood_pairs,
 )

@@ -149,20 +149,43 @@ def _odd_cycle(parent: list[int], x: int, y: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Triangle and clique censuses
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
+def _cliques(g: CubeGraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every clique of 3 or more vertices, level by level (level i holds the (i+3)-cliques).
+
+    Each clique is extended by its common neighbors above its last vertex, in
+    ascending order, so every clique is sorted and every level ascends.  The
+    edge level, the largest, is not kept; cached for the two graphs used last.
+    """
+    nsets = _neighbor_sets(g)
+    levels = []
+    current = g.edges()
+    while True:
+        current = tuple(
+            clique + (w,)
+            for clique in current
+            for w in sorted(frozenset.intersection(*(nsets[x] for x in clique)))
+            if w > clique[-1]
+        )
+        if not current:
+            return tuple(levels)
+        levels.append(current)
+
+
+def _level(g: CubeGraph, size: int) -> tuple[tuple[int, ...], ...]:
+    levels = _cliques(g)
+    return levels[size - 3] if size - 3 < len(levels) else ()
+
+
 def triangle_counts(g: CubeGraph):
     """Per-vertex and per-edge triangle counts (edges keyed (i, j), i < j)."""
-    nsets = _neighbor_sets(g)
     per_vertex = [0] * g.num_vertices
-    per_edge: dict[tuple[int, int], int] = {}
-    for i, j in g.edges():
-        common = nsets[i] & nsets[j]
-        per_edge[(i, j)] = len(common)
-        for w in common:
-            if w > j:
-                per_vertex[i] += 1
-                per_vertex[j] += 1
-                per_vertex[w] += 1
+    per_edge = dict.fromkeys(g.edges(), 0)
+    for tri in _level(g, 3):
+        for x in tri:
+            per_vertex[x] += 1
+        for edge in combinations(tri, 2):
+            per_edge[edge] += 1
     return tuple(per_vertex), per_edge
 
 
@@ -176,48 +199,28 @@ class K4Census:
         return all(m <= 1 for m in self.membership)
 
 
-@lru_cache(maxsize=None)
 def k4_census(g: CubeGraph) -> K4Census:
     """All 4-cliques (each listed once, sorted) and per-vertex membership counts."""
-    nsets = _neighbor_sets(g)
-    quads = []
+    quads = _level(g, 4)
     membership = [0] * g.num_vertices
-    for i, j in g.edges():
-        common = sorted(w for w in nsets[i] & nsets[j] if w > j)
-        for a, b in combinations(common, 2):
-            if b in nsets[a]:
-                quads.append((i, j, a, b))
-                for x in (i, j, a, b):
-                    membership[x] += 1
-    return K4Census(tuple(quads), tuple(membership))
+    for quad in quads:
+        for x in quad:
+            membership[x] += 1
+    return K4Census(quads, tuple(membership))
 
 
-def k4_extends_to_k5(g: CubeGraph, census: K4Census | None = None) -> bool:
-    """Whether any enumerated 4-clique has a common neighbor (a 5-clique)."""
-    census = census or k4_census(g)
-    nsets = _neighbor_sets(g)
-    return any(frozenset.intersection(*(nsets[x] for x in quad)) for quad in census.quads)
+def k4_extends_to_k5(g: CubeGraph) -> bool:
+    """Whether any 4-clique has a common neighbor (a 5-clique)."""
+    return bool(_level(g, 5))
 
 
-@lru_cache(maxsize=None)
 def clique_number(g: CubeGraph) -> int:
     """Exact clique number by level-wise extension of enumerated cliques."""
-    nsets = _neighbor_sets(g)
     if g.num_vertices == 0:
         return 0
-    current: list[tuple[int, ...]] = list(g.edges())
-    if not current:
+    if not any(g.nbrs):
         return 1
-    size = 2
-    while True:
-        extended = []
-        for clique in current:
-            common = frozenset.intersection(*(nsets[x] for x in clique))
-            extended.extend(clique + (w,) for w in common if w > clique[-1])
-        if not extended:
-            return size
-        size += 1
-        current = extended
+    return 2 + len(_cliques(g))
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +307,24 @@ def edge_transitivity_certificate(g: CubeGraph) -> TransitivityCertificate:
 # ---------------------------------------------------------------------------
 # Same-neighborhood censuses
 
+def _twin_pairs(vertices_and_neighbors) -> list:
+    """Sorted pairs of the vertices whose neighbor keys are equal, from (vertex, key) items."""
+    groups: dict = {}
+    for v, key in vertices_and_neighbors:
+        groups.setdefault(key, []).append(v)
+    return sorted(pair for members in groups.values() for pair in combinations(members, 2))
+
+
 def same_neighborhood_pairs(g: CubeGraph) -> list[tuple[int, int]]:
     """All unordered word pairs whose neighbor sets are identical."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(g.nbrs):
-        groups.setdefault(row, []).append(i)
-    pairs = []
-    for members in groups.values():
-        for a, b in combinations(members, 2):
-            pairs.append((g.word_of(a), g.word_of(b)))
-    return sorted(pairs)
+    return _twin_pairs(zip(g.words, g.nbrs))
 
 
 def bh_same_neighborhood_pairs(m: int) -> list[tuple[tuple, tuple]]:
     """Extensional same-neighborhood census over all 4^m vertices of BH_m."""
     if 4 ** m > FULL_SCAN_CAP * 256:
         raise ResourceLimitError(f"BH_{m} has {4 ** m} vertices, too large to census")
-    groups: dict[tuple, list[tuple]] = {}
-    for a in product(range(4), repeat=m):
-        groups.setdefault(tuple(bh_neighbors(m, a)), []).append(a)
-    pairs = []
-    for members in groups.values():
-        for a, b in combinations(members, 2):
-            pairs.append((a, b))
-    return sorted(pairs)
+    return _twin_pairs((a, tuple(bh_neighbors(m, a))) for a in product(range(4), repeat=m))
 
 
 def equivalent_pairs(kind: TopologyKind, size: int):

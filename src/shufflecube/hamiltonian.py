@@ -9,19 +9,13 @@ mod-4 semantics and the block rules end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
-from .errors import ConstructionError, ResourceLimitError
-from .words import Dimension, VertexWord, h4
-from .topology import (
-    TopologyKind,
-    block_graph,
-    block_graph_for,
-    C4_LABEL,
-    adjacent,
-    materialize,
-    MATERIALIZE_CAP,
-)
+from .errors import ConstructionError
+from .words import Dimension, VertexWord, h4, set_block
+from .topology import TopologyKind, _require_size, adjacent, block_graph, materialize, product_factors
 
 
 @dataclass(frozen=True)
@@ -88,16 +82,15 @@ def snake_product(outer: Sequence[int], inner: Sequence, combine=lambda g, h: (g
 
 
 def hamiltonian_cycle(kind: TopologyKind, dim: Dimension) -> HamiltonianCycle:
-    """Deterministic Hamiltonian cycle of SSQ_n or BSQ_n via folded snake products."""
-    block_nodes = factor_cycle(block_graph_for(kind).label).nodes
-    count = 4 * len(block_nodes) ** dim.k
-    if count > MATERIALIZE_CAP:
-        raise ResourceLimitError(f"{kind.value}_{dim.n} cycle has {count} vertices, above the cap")
-    cycle = list(factor_cycle(C4_LABEL).nodes)
-    width = 2
-    for _ in range(dim.k):
-        cycle = snake_product(block_nodes, cycle, combine=lambda g, h: (g << width) | h)
-        width += 4
+    """Deterministic Hamiltonian cycle of SSQ_n or BSQ_n: the factor cycles folded by snake products.
+
+    Each factor's cycle is placed in its block, and block j's cycle is snaked
+    around the cycle of blocks 0..j-1, the tail innermost.
+    """
+    factors = product_factors(kind, dim)
+    _require_size(kind, dim)
+    placed = [[set_block(0, j, b, dim) for b in factor_cycle(f.label).nodes] for j, f in enumerate(factors)]
+    cycle = reduce(lambda inner, outer: snake_product(outer, inner, combine=or_), placed)
     return HamiltonianCycle(kind, dim.n, tuple(cycle))
 
 

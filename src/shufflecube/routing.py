@@ -1,9 +1,9 @@
 """Shortest-path routing for SSQ and BSQ and their closed-form diameters.
 
 Both topologies are Cartesian products F^k □ C4 (`topology.product_factors`),
-so distance is the sum of the factor distances and a shortest path fixes one
-block at a time: blocks 1..k in ascending order, then the tail, each walked
-by its factor's next-hop table.  A next hop is the first shortest-hop move in
+so distance and diameter are sums over the factors, and a shortest path
+fixes one block at a time: blocks 1..k in ascending order, then the tail,
+each walked by its factor's next-hop table.  A next hop is the first shortest-hop move in
 the order the factor lists its moves.  B tries XOR 1111 before 0001, 0010 and
 0011, so a block two steps away passes through its complement first; D lists
 its moves in ascending order; the C4 tail steps +1 before -1, so it takes +1
@@ -49,10 +49,5 @@ def route_bsq(dim: Dimension, src: VertexWord, dst: VertexWord) -> RoutePath:
 
 
 def diameter_formula(kind: TopologyKind, n: int) -> int:
-    """Closed-form diameter: (n-2)/2 + 2 for SSQ, n for BSQ."""
-    Dimension(n)
-    if kind is TopologyKind.SSQ:
-        return (n - 2) // 2 + 2
-    if kind is TopologyKind.BSQ:
-        return n
-    raise ValueError(f"no diameter formula for {kind.value}")
+    """Closed-form diameter: the sum of the factor diameters, (n-2)/2 + 2 for SSQ and n for BSQ."""
+    return sum(max(f.dist.values()) for f in product_factors(kind, Dimension(n)))

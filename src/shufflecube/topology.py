@@ -270,19 +270,25 @@ def neighbor_sets(g: CubeGraph) -> tuple[frozenset, ...]:
     return tuple(frozenset(row) for row in g.nbrs)
 
 
-@lru_cache(maxsize=None)
+def _require_size(kind: TopologyKind, dim: Dimension) -> int:
+    """The vertex count of kind at dim; ResourceLimitError above MATERIALIZE_CAP."""
+    if kind in (TopologyKind.Q, TopologyKind.SQ):
+        count = 1 << dim.n
+    else:
+        count = prod(len(f.nodes) for f in product_factors(kind, dim))
+    if count > MATERIALIZE_CAP:
+        raise ResourceLimitError(f"{kind.value}_{dim.n} has {count} vertices, above the {MATERIALIZE_CAP} cap")
+    return count
+
+
+@lru_cache(maxsize=3)
 def materialize(kind: TopologyKind, n: int) -> CubeGraph:
-    """Build the full graph for a kind at dimension n (vertex cap 2^20)."""
+    """Build the full graph for a kind at dimension n (vertex cap 2^20); one n's SQ, SSQ and BSQ stay cached."""
     dim = Dimension(n)
     if kind is TopologyKind.BH:
         raise ValueError("BH is not materialized as a CubeGraph; use bh_neighbors")
-    factors = () if kind in (TopologyKind.Q, TopologyKind.SQ) else product_factors(kind, dim)
-    count = prod(len(f.nodes) for f in factors) if factors else 1 << n
-    if count > MATERIALIZE_CAP:
-        raise ResourceLimitError(
-            f"{kind.value}_{n} has {count} vertices, above the {MATERIALIZE_CAP} cap"
-        )
-    words = _product_words(factors, dim) if factors else tuple(range(count))
+    count = _require_size(kind, dim)
+    words = tuple(range(count)) if count == 1 << n else _product_words(product_factors(kind, dim), dim)
     index = {u: i for i, u in enumerate(words)}
     nbrs = tuple(tuple(index[v] for v in neighbors(kind, dim, u)) for u in words)
     edge_count = sum(len(row) for row in nbrs) // 2

@@ -1,4 +1,6 @@
 """Brute-force analytics: distances, girth, bipartiteness, cliques, censuses."""
+from itertools import combinations
+
 import pytest
 
 from shufflecube import (
@@ -29,6 +31,8 @@ from shufflecube import (
     triangle_counts,
     vertex_transitivity_certificate,
 )
+
+from oracles import bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
 
 D6 = Dimension(6)
 
@@ -145,6 +149,35 @@ class TestCliques:
 
     def test_bsq6_has_no_k4(self, bsq6):
         assert len(k4_census(bsq6).quads) == 0
+
+    @pytest.mark.parametrize(
+        "kind,rec",
+        [
+            (TopologyKind.SQ, sq_adjacent_rec),
+            (TopologyKind.SSQ, ssq_adjacent_rec),
+            (TopologyKind.BSQ, bsq_adjacent_rec),
+        ],
+    )
+    def test_match_brute_force_over_oracle_adjacency_n6(self, kind, rec):
+        words = [u for u in range(64) if kind is not TopologyKind.SSQ or ssq_valid_rec(6, u)]
+        adj = [{j for j, v in enumerate(words) if rec(6, u, v)} for u in words]
+
+        def clique(vs):
+            return all(b in adj[a] for a, b in combinations(vs, 2))
+
+        triangles = [t for t in combinations(range(len(words)), 3) if clique(t)]
+        quads = [q for q in combinations(range(len(words)), 4) if clique(q)]
+        has_k5 = any(all(x in adj[v] for v in q) for q in quads for x in range(len(words)))
+        g = materialize(kind, 6)
+        assert list(g.words) == words
+        tri_v, tri_e = triangle_counts(g)
+        assert tri_v == tuple(sum(x in t for t in triangles) for x in range(len(words)))
+        assert tri_e == {
+            (i, j): sum(i in t and j in t for t in triangles) for i in range(len(words)) for j in adj[i] if i < j
+        }
+        assert k4_census(g).quads == tuple(quads)
+        assert k4_extends_to_k5(g) == has_k5
+        assert clique_number(g) == (5 if has_k5 else 4 if quads else 3 if triangles else 2)
 
 
 class TestTransitivityCertificates:

@@ -1,6 +1,10 @@
-"""Command-line interface: formats, exit codes, determinism."""
+"""Command-line interface and scripts: formats, exit codes, determinism."""
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +131,28 @@ class TestRoute:
         assert code == 2
 
 
+# The snake cycles at n = 6: the tail cycle 00 01 10 11 swept forward and
+# back along the block's factor cycle.
+EMITTED_N6 = {
+    "ssq": """
+        000000 000001 000010 000011 000111 000110 000101 000100
+        001000 001001 001010 001011 001111 001110 001101 001100
+        110000 110001 110010 110011 110111 110110 110101 110100
+        111000 111001 111010 111011 111111 111110 111101 111100
+    """,
+    "bsq": """
+        000000 000001 000010 000011 010011 010010 010001 010000
+        001100 001101 001110 001111 011111 011110 011101 011100
+        001000 001001 001010 001011 011011 011010 011001 011000
+        000100 000101 000110 000111 010111 010110 010101 010100
+        100000 100001 100010 100011 110011 110010 110001 110000
+        101100 101101 101110 101111 111111 111110 111101 111100
+        101000 101001 101010 101011 111011 111010 111001 111000
+        100100 100101 100110 100111 110111 110110 110101 110100
+    """,
+}
+
+
 class TestHamiltonian:
     def test_emit_fixture(self, capsys):
         code, out, _ = run_cli(
@@ -141,6 +167,12 @@ class TestHamiltonian:
         code, out, _ = run_cli(capsys, "hamiltonian", "emit", "--kind", "bsq", "--n", "10")
         assert code == 0
         assert len(out.splitlines()) == 1024
+
+    @pytest.mark.parametrize("kind", ["ssq", "bsq"])
+    def test_emit_generated_n6_word_for_word(self, capsys, kind):
+        code, out, _ = run_cli(capsys, "hamiltonian", "emit", "--kind", kind, "--n", "6")
+        assert code == 0
+        assert out == "\n".join(EMITTED_N6[kind].split()) + "\n"
 
     def test_validate_fixture(self, capsys):
         code, out, _ = run_cli(
@@ -194,9 +226,10 @@ class TestHamiltonian:
 
 class TestVerifyClaims:
     def test_bad_dimension_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify-claims", "7")
-        assert code == 2
-        assert "mod 4" in err
+        for n, message in (("7", "mod 4"), ("2", "claims suite supports 6 <= n <= 14, got 2")):
+            code, _, err = run_cli(capsys, "verify-claims", n)
+            assert code == 2
+            assert message in err
 
     def test_n6_passes_and_is_deterministic(self, capsys):
         code, first, _ = run_cli(capsys, "verify-claims", "6", "--no-timing")
@@ -241,3 +274,34 @@ class TestVerifyClaims:
         golden = pathlib.Path(__file__).parent / "data" / "claims_n6.json"
         _, out, _ = run_cli(capsys, "verify-claims", "6", "--no-timing")
         assert out == golden.read_text()
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (
+            ["diameter_scan.py", "2", "6"],
+            [
+                "SSQ_6: diameter 4 (exhaustive), closed form 4, ecc(0) = 4 attained at 110010, 110110, 111010",
+                "  vertex 110111 sits at distance 3",
+                "  all-ones vertex 111111 sits at distance 4",
+            ],
+        ),
+        (["neighborhood_census.py", "--n", "6"], ["BSQ_6: 0 same-neighborhood pairs, 32 bit-(4j+1) pairs"]),
+    ],
+    ids=["diameter_scan", "neighborhood_census"],
+)
+def test_script_runs(argv, lines):
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script, *args = argv
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert all(line in out for line in lines), proc.stdout

@@ -27,6 +27,7 @@ from shufflecube import (
     product_factors,
     v_set,
 )
+from shufflecube.analysis import _cliques
 from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
 
 D6 = Dimension(6)
@@ -231,11 +232,18 @@ class TestMaterialize:
         for i, u in enumerate(g.words):
             assert [g.words[j] for j in g.nbrs[i]] == [v for v in g.words if rec(n, u, v)]
 
-    def test_neighbor_sets_cache_holds_two_graphs(self):
-        neighbor_sets.cache_clear()
-        for kind in (TopologyKind.Q, TopologyKind.SQ, TopologyKind.BSQ):
-            neighbor_sets(materialize(kind, 6))
-        assert neighbor_sets.cache_info().currsize <= 2
+    @pytest.mark.parametrize(
+        "cache,bound",
+        [(neighbor_sets, 2), (_cliques, 2), (materialize, 3)],
+        ids=["neighbor_sets", "_cliques", "materialize"],
+    )
+    def test_graph_cache_stays_bounded(self, cache, bound):
+        cache.cache_clear()
+        for kind in (TopologyKind.Q, TopologyKind.SQ, TopologyKind.SSQ, TopologyKind.BSQ):
+            g = materialize(kind, 6)
+            if cache is not materialize:
+                cache(g)
+        assert cache.cache_info().currsize == bound
 
 
 class TestProductFactors:
