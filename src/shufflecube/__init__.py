@@ -15,21 +15,16 @@ from .words import (
     BlockValue,
     Dimension,
     VertexWord,
-    assemble,
     blocks,
     block_width,
     format_vertex,
     get_block,
-    h4,
-    h4_star,
     hamming,
     make_block,
     pair1,
     pair2,
     parse_vertex,
-    prefix,
     set_block,
-    suffix,
 )
 from .topology import (
     B_SSQ_LABEL,
@@ -66,11 +61,9 @@ from .analysis import (
     diameter,
     eccentricity,
     edge_transitivity_certificate,
-    equivalent_pairs,
     girth,
     is_connected,
     k4_census,
-    k4_extends_to_k5,
     same_neighborhood_pairs,
     triangle_counts,
     vertex_transitivity_certificate,
@@ -78,7 +71,6 @@ from .analysis import (
 from .symmetry import (
     AutomorphismCheck,
     AutomorphismSpec,
-    BlockMap,
     apply_map,
     build_phi,
     build_psi,
@@ -99,7 +91,6 @@ from .hamiltonian import (
     fixture_h2,
     hamiltonian_cycle,
     snake_product,
-    step_block_changes,
     validate_cycle,
 )
 from .claims import ClaimRecord, ClaimsReport, run_claims

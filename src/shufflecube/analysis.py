@@ -17,7 +17,6 @@ from .topology import (
     CubeGraph,
     TopologyKind,
     bh_neighbors,
-    materialize,
     neighbor_sets as _neighbor_sets,
 )
 
@@ -209,11 +208,6 @@ def k4_census(g: CubeGraph) -> K4Census:
     return K4Census(quads, tuple(membership))
 
 
-def k4_extends_to_k5(g: CubeGraph) -> bool:
-    """Whether any 4-clique has a common neighbor (a 5-clique)."""
-    return bool(_level(g, 5))
-
-
 def clique_number(g: CubeGraph) -> int:
     """Exact clique number by level-wise extension of enumerated cliques."""
     if g.num_vertices == 0:
@@ -325,15 +319,6 @@ def bh_same_neighborhood_pairs(m: int) -> list[tuple[tuple, tuple]]:
     if 4 ** m > FULL_SCAN_CAP * 256:
         raise ResourceLimitError(f"BH_{m} has {4 ** m} vertices, too large to census")
     return _twin_pairs((a, tuple(bh_neighbors(m, a))) for a in product(range(4), repeat=m))
-
-
-def equivalent_pairs(kind: TopologyKind, size: int):
-    """Same-neighborhood pairs for BSQ_n (size = n) or BH_m (size = m)."""
-    if kind is TopologyKind.BH:
-        return bh_same_neighborhood_pairs(size)
-    if kind is TopologyKind.BSQ:
-        return same_neighborhood_pairs(materialize(kind, size))
-    raise ValueError(f"equivalence census is defined for BSQ and BH, not {kind.value}")
 
 
 def bsq_pattern_pairs(n: int) -> list[tuple[int, int]]:

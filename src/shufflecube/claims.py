@@ -93,11 +93,13 @@ class _Runner:
 
 
 def run_claims(n_values: list[int]) -> ClaimsReport:
-    """Run the full suite for each dimension (n = 2 mod 4, 6 <= n <= 14)."""
+    """Run the full suite for each dimension (distinct n = 2 mod 4, 6 <= n <= 14)."""
     for n in n_values:
         Dimension(n)
         if not 6 <= n <= 14:
             raise ValueError(f"claims suite supports 6 <= n <= 14, got {n}")
+    if len(set(n_values)) != len(n_values):
+        raise ValueError(f"claims suite takes each n once, got {' '.join(map(str, n_values))}")
     report = ClaimsReport(list(n_values))
     run = _Runner(report)
     run.start()

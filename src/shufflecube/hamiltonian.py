@@ -14,7 +14,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import ConstructionError
-from .words import Dimension, VertexWord, h4, set_block
+from .words import Dimension, VertexWord, set_block
 from .topology import TopologyKind, _require_size, adjacent, block_graph, materialize, product_factors
 
 
@@ -123,13 +123,6 @@ def validate_cycle(kind: TopologyKind, dim: Dimension, vertices: Sequence[Vertex
         if not adjacent(kind, dim, w, nxt):
             return CycleCheck(False, "consecutive vertices not adjacent", (w, nxt))
     return CycleCheck(True)
-
-
-def step_block_changes(cycle: HamiltonianCycle) -> set[int]:
-    """h4 of every consecutive step; a valid product cycle yields {1}."""
-    dim = Dimension(cycle.n)
-    vs = cycle.vertices
-    return {h4(vs[i], vs[(i + 1) % len(vs)], dim) for i in range(len(vs))}
 
 
 _H1_TEXT = """

@@ -1,63 +1,54 @@
 """Vertex-transitivity witnesses: the blockwise maps phi (SSQ) and psi (BSQ).
 
-phi XORs every block by a fixed offset.  psi acts on each 4-bit block as a
-mod-4 translation (pair1 and pair2 shifted) or reflection (both negated after
-an offset), chosen by the parity relation between the two anchor vertices,
-and rotates the 2-bit tail.  Translations need an even pair1 offset and
-reflections an odd one to commute with the block adjacency rule; the builder
-guarantees that, and verify_automorphism checks any spec against the edge
-oracle regardless of how it was made.
+Both maps act block by block, so a spec is one image table per block, in the
+order of `product_factors`: the 2-bit tail first, then blocks 1..k.  phi
+XORs every block by the matching block of u ^ v.  psi rotates the tail and
+acts on each 4-bit block as a mod-4 translation (pair1 and pair2 shifted) or
+reflection (both negated after an offset).  Translations need an even pair1
+offset and reflections an odd one to commute with the block adjacency rule;
+`_psi_block` guarantees that, and verify_automorphism checks any spec against
+the edge oracle regardless of how it was made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidVertexError
-from .words import Dimension, VertexWord, blocks, get_block, set_block, pair1, pair2, make_block
+from .words import Dimension, VertexWord, block_width, blocks, get_block, set_block, pair1, pair2, make_block
 from .topology import TopologyKind, _require_valid, materialize, neighbor_sets
-
-TRANSLATE = "translate"
-REFLECT = "reflect"
-
-
-@dataclass(frozen=True)
-class BlockMap:
-    """psi's action on one 4-bit block."""
-
-    mode: str  # "translate" | "reflect"
-    alpha: int  # pair1 offset, mod 4
-    beta: int  # pair2 offset, mod 4
 
 
 @dataclass(frozen=True)
 class AutomorphismSpec:
-    """A blockwise vertex map; kind "phi" targets SSQ, "psi" targets BSQ."""
+    """A blockwise vertex map: block j with value b becomes images[j][b]; block 0 (the tail) first."""
 
-    kind: str
     dim: Dimension
-    xor_offsets: tuple[int, ...] = ()  # phi: offset per block, index 0 first
-    block_maps: tuple[BlockMap, ...] = ()  # psi: blocks 1..k in order
-    gamma: int = 0  # psi: tail rotation, mod 4
+    images: tuple[tuple[int, ...], ...]
 
 
 def build_phi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
     """The XOR map sending v to u on SSQ vertices."""
     _require_valid(TopologyKind.SSQ, dim, u, v)
-    return AutomorphismSpec("phi", dim, xor_offsets=blocks(u ^ v, dim))
+    offsets = enumerate(blocks(u ^ v, dim))
+    return AutomorphismSpec(dim, tuple(tuple(b ^ x for b in range(1 << block_width(j))) for j, x in offsets))
+
+
+def _psi_block(bu: int, bv: int) -> tuple[int, ...]:
+    """psi's table on one 4-bit block, sending bv to bu: translate when the pair1 offset is even, else reflect."""
+    if (pair1(bu) - pair1(bv)) % 2 == 0:
+        alpha, beta = pair1(bu) - pair1(bv), pair2(bu) - pair2(bv)
+        return tuple(make_block(pair1(b) + alpha, pair2(b) + beta) for b in range(16))
+    alpha, beta = pair1(bu) + pair1(bv), pair2(bu) + pair2(bv)
+    return tuple(make_block(alpha - pair1(b), beta - pair2(b)) for b in range(16))
 
 
 def build_psi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
     """The translate/reflect map sending v to u on BSQ vertices."""
     _require_valid(TopologyKind.BSQ, dim, u, v)
-    maps = []
-    for j in range(1, dim.k + 1):
-        bu, bv = get_block(u, j, dim), get_block(v, j, dim)
-        if (pair1(bu) - pair1(bv)) % 2 == 0:
-            maps.append(BlockMap(TRANSLATE, (pair1(bu) - pair1(bv)) % 4, (pair2(bu) - pair2(bv)) % 4))
-        else:
-            maps.append(BlockMap(REFLECT, (pair1(bu) + pair1(bv)) % 4, (pair2(bu) + pair2(bv)) % 4))
-    gamma = (get_block(u, 0, dim) - get_block(v, 0, dim)) % 4
-    return AutomorphismSpec("psi", dim, block_maps=tuple(maps), gamma=gamma)
+    gamma = get_block(u, 0, dim) - get_block(v, 0, dim)
+    tail = tuple((b + gamma) % 4 for b in range(4))
+    maps = tuple(_psi_block(get_block(u, j, dim), get_block(v, j, dim)) for j in range(1, dim.k + 1))
+    return AutomorphismSpec(dim, (tail,) + maps)
 
 
 def apply_map(spec: AutomorphismSpec, w: VertexWord) -> VertexWord:
@@ -65,21 +56,9 @@ def apply_map(spec: AutomorphismSpec, w: VertexWord) -> VertexWord:
     dim = spec.dim
     if not 0 <= w <= dim.mask:
         raise InvalidVertexError(f"word {w:#x} does not fit in {dim.n} bits")
-    if spec.kind == "phi":
-        out = w ^ spec.xor_offsets[0]
-        for j in range(1, dim.k + 1):
-            out ^= spec.xor_offsets[j] << (4 * j - 2)
-        return out
-    out = set_block(w, 0, (get_block(w, 0, dim) + spec.gamma) % 4, dim)
-    for j in range(1, dim.k + 1):
-        b = get_block(w, j, dim)
-        m = spec.block_maps[j - 1]
-        if m.mode == TRANSLATE:
-            image = make_block(pair1(b) + m.alpha, pair2(b) + m.beta)
-        else:
-            image = make_block(m.alpha - pair1(b), m.beta - pair2(b))
-        out = set_block(out, j, image, dim)
-    return out
+    for j, image in enumerate(spec.images):
+        w = set_block(w, j, image[get_block(w, j, dim)], dim)
+    return w
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,6 @@ class BlockGraph:
         """First move of a shortest a->b walk, in the order the factor lists its moves."""
         return self.next_hop[(a, b)]
 
-    def eccentricity(self, a: int) -> int:
-        return max(self.dist[(a, b)] for b in self.nodes)
-
 
 def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
     """BFS tables of a factor whose node a has the neighbors moves(a), in that order."""

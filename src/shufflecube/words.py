@@ -84,28 +84,6 @@ def blocks(u: VertexWord, dim: Dimension) -> tuple[BlockValue, ...]:
     return tuple(get_block(u, j, dim) for j in range(dim.k + 1))
 
 
-def assemble(values, dim: Dimension) -> VertexWord:
-    """Inverse of blocks(): rebuild a word from per-block values, index 0 first."""
-    u = 0
-    for j, value in enumerate(values):
-        u = set_block(u, j, value, dim)
-    return u
-
-
-def prefix(u: VertexWord, j: int, dim: Dimension) -> str:
-    """The j-prefix u_{n-1}..u_{n-j} as a bit string."""
-    if not 0 <= j <= dim.n:
-        raise IndexError(f"prefix length {j} out of range 0..{dim.n}")
-    return format_vertex(u, dim)[:j]
-
-
-def suffix(u: VertexWord, k: int, dim: Dimension) -> str:
-    """The k-suffix u_{k-1}..u_0 as a bit string."""
-    if not 0 <= k <= dim.n:
-        raise IndexError(f"suffix length {k} out of range 0..{dim.n}")
-    return format_vertex(u, dim)[dim.n - k:]
-
-
 def hamming(u: VertexWord, v: VertexWord) -> int:
     """Number of bit positions where u and v differ."""
     return (u ^ v).bit_count()
@@ -115,16 +93,6 @@ def differing_blocks(u: VertexWord, v: VertexWord, dim: Dimension) -> list[int]:
     """Indices of the blocks where u and v differ, ascending."""
     x = u ^ v
     return [j for j in range(dim.k + 1) if get_block(x, j, dim)]
-
-
-def h4(u: VertexWord, v: VertexWord, dim: Dimension) -> int:
-    """Number of blocks j in 0..k where u and v differ."""
-    return len(differing_blocks(u, v, dim))
-
-
-def h4_star(u: VertexWord, v: VertexWord, dim: Dimension) -> int:
-    """Number of blocks j in 1..k where u and v differ (block 0 excluded)."""
-    return sum(1 for j in differing_blocks(u, v, dim) if j)
 
 
 def pair1(block: BlockValue) -> int:

@@ -18,12 +18,10 @@ from shufflecube import (
     diameter,
     eccentricity,
     edge_transitivity_certificate,
-    equivalent_pairs,
     format_vertex,
     get_block,
     girth,
     k4_census,
-    k4_extends_to_k5,
     materialize,
     neighbor_sets,
     parse_vertex,
@@ -145,7 +143,6 @@ class TestCliques:
     def test_clique_number_four(self, sq6, sq10):
         for g in (sq6, sq10):
             assert clique_number(g) == 4
-            assert not k4_extends_to_k5(g)
 
     def test_bsq6_has_no_k4(self, bsq6):
         assert len(k4_census(bsq6).quads) == 0
@@ -176,7 +173,6 @@ class TestCliques:
             (i, j): sum(i in t and j in t for t in triangles) for i in range(len(words)) for j in adj[i] if i < j
         }
         assert k4_census(g).quads == tuple(quads)
-        assert k4_extends_to_k5(g) == has_k5
         assert clique_number(g) == (5 if has_k5 else 4 if quads else 3 if triangles else 2)
 
 
@@ -227,7 +223,6 @@ class TestSameNeighborhoods:
         ]
         assert brute == []
         assert same_neighborhood_pairs(bsq6) == []
-        assert equivalent_pairs(TopologyKind.BSQ, 6) == []
 
     def test_bsq2_opposite_pairs(self):
         g = materialize(TopologyKind.BSQ, 2)
@@ -249,7 +244,3 @@ class TestSameNeighborhoods:
         assert len(census) == 8
         assert census == bh_pattern_pairs(2)
         assert ((0, 0), (2, 0)) in census
-
-    def test_equivalence_rejected_for_other_kinds(self):
-        with pytest.raises(ValueError):
-            equivalent_pairs(TopologyKind.SQ, 6)

@@ -231,6 +231,12 @@ class TestVerifyClaims:
             assert code == 2
             assert message in err
 
+    def test_repeated_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify-claims", "6", "10", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: claims suite takes each n once, got 6 10 6\n"
+
     def test_n6_passes_and_is_deterministic(self, capsys):
         code, first, _ = run_cli(capsys, "verify-claims", "6", "--no-timing")
         assert code == 0
@@ -305,3 +311,65 @@ def test_script_runs(argv, lines):
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
     assert all(line in out for line in lines), proc.stdout
+
+
+# The exit-code contract: 0 success, 1 a failed validation, 2 a usage or I/O
+# error, and never a traceback.  {dir} is a directory holding "open.txt", a
+# two-vertex path that is no cycle, and "bad.txt", with a non-binary vertex.
+CONTRACT = [
+    ("generate --kind ssq --n 6", 0),
+    ("generate --kind xyz --n 6", 2),
+    ("generate --kind bh --n 6", 2),
+    ("generate --kind ssq --n 7", 2),
+    ("generate --kind ssq --n -2", 2),
+    ("generate --kind ssq --n six", 2),
+    ("generate --kind q --n 22", 2),
+    ("analyze --kind ssq --n 6 --checks girth", 0),
+    ("analyze --kind bh --n 6", 2),
+    ("analyze --kind ssq --n 6 --checks=", 0),
+    ("analyze --kind ssq --n 6 --checks girth,bogus", 2),
+    ("analyze --kind ssq --n 3", 2),
+    ("analyze --kind sq --n 22", 2),
+    ("route --kind bsq --n 6 --from 000000 --to 111111", 0),
+    ("route --kind bh --n 6 --from 000000 --to 000001", 2),
+    ("route --kind q --n 6 --from 000000 --to 000001", 2),
+    ("route --kind ssq --n 6 --from 0000000 --to 000000", 2),
+    ("route --kind ssq --n 6 --from 00000x --to 000000", 2),
+    ("route --kind ssq --n 6 --from 010000 --to 000000", 2),
+    ("route --kind ssq --n -2 --from 00 --to 00", 2),
+    ("route --kind bsq --n 22 --from " + "0" * 22 + " --to " + "1" * 22, 0),
+    ("hamiltonian emit --kind ssq --n 6", 0),
+    ("hamiltonian emit --kind xyz --n 6", 2),
+    ("hamiltonian emit --kind q --n 6", 2),
+    ("hamiltonian emit --kind bh --n 6", 2),
+    ("hamiltonian emit --kind bsq --n 5", 2),
+    ("hamiltonian emit --kind bsq --n 22", 2),
+    ("hamiltonian emit --kind ssq --n 10 --fixture h1", 2),
+    ("hamiltonian validate --kind bsq --n 6 --fixture h2", 0),
+    ("hamiltonian validate --kind bsq --n 6 --input {dir}/open.txt", 1),
+    ("hamiltonian validate --kind bsq --n 6", 2),
+    ("hamiltonian validate --kind bsq --n 6 --input {dir}/missing.txt", 2),
+    ("hamiltonian validate --kind bsq --n 6 --input {dir}/bad.txt", 2),
+    ("hamiltonian validate --kind bh --n 6 --input {dir}/open.txt", 2),
+    ("hamiltonian validate --kind bsq --n 22 --input {dir}/open.txt", 2),
+    ("verify-claims", 2),
+    ("verify-claims x", 2),
+    ("verify-claims -6", 2),
+    ("verify-claims 7", 2),
+    ("verify-claims 18", 2),
+    ("verify-claims 6 6", 2),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CONTRACT, ids=[argv for argv, _ in CONTRACT])
+def test_exit_code_contract(capsys, tmp_path, argv, expected):
+    (tmp_path / "open.txt").write_text("000000\n000001\n")
+    (tmp_path / "bad.txt").write_text("000000\n0000x0\n")
+    try:
+        code = main([arg.format(dir=tmp_path) for arg in argv.split()])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert bool(err) == (expected == 2)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from shufflecube import (
     AutomorphismSpec,
-    BlockMap,
     Dimension,
     InvalidVertexError,
     TopologyKind,
@@ -15,8 +14,12 @@ from shufflecube import (
     build_phi,
     build_psi,
     is_valid_vertex,
+    make_block,
     materialize,
+    pair1,
+    pair2,
     parse_vertex,
+    product_factors,
     verify_automorphism,
 )
 
@@ -28,16 +31,35 @@ def ssq_words(n):
     return materialize(TopologyKind.SSQ, n).words
 
 
+def xor_spec(dim, offsets):
+    """The blockwise map that XORs block j by offsets[j]."""
+    return AutomorphismSpec(dim, tuple(tuple(b ^ x for b in range(4 if j == 0 else 16)) for j, x in enumerate(offsets)))
+
+
+def offsets(spec):
+    """The per-block XOR offsets of a phi spec: the image of block value 0."""
+    return tuple(t[0] for t in spec.images)
+
+
+def assert_blocks_are_factor_automorphisms(kind, spec):
+    """Each block's image table, restricted to its factor, is a bijection that maps edges to edges."""
+    for factor, image in zip(product_factors(kind, spec.dim), spec.images, strict=True):
+        assert sorted(image[a] for a in factor.nodes) == list(factor.nodes)
+        for a in factor.nodes:
+            assert all(image[b] in factor.adj[image[a]] for b in factor.adj[a])
+
+
 class TestPhi:
     def test_identity(self):
         spec = build_phi(0b110100, 0b110100, D6)
-        assert spec.xor_offsets == (0, 0)
+        assert spec.images == (tuple(range(4)), tuple(range(16)))
         assert all(apply_map(spec, w) == w for w in ssq_words(6))
 
     def test_offsets_example(self):
         u, v = parse_vertex("000000", D6), parse_vertex("110101", D6)
         spec = build_phi(u, v, D6)
-        assert spec.xor_offsets == (0b01, 0b1101)
+        assert offsets(spec) == (0b01, 0b1101)
+        assert spec.images == xor_spec(D6, (0b01, 0b1101)).images
         assert apply_map(spec, v) == u
         assert apply_map(spec, parse_vertex("000100", D6)) == parse_vertex("110001", D6)
 
@@ -51,6 +73,12 @@ class TestPhi:
         for u in words:
             for v in words:
                 assert apply_map(build_phi(u, v, D6), v) == u
+
+    def test_block_images_are_factor_automorphisms_n6(self):
+        words = ssq_words(6)
+        for u in words:
+            for v in words:
+                assert_blocks_are_factor_automorphisms(TopologyKind.SSQ, build_phi(u, v, D6))
 
     def test_rejects_invalid_vertices(self):
         with pytest.raises(InvalidVertexError):
@@ -70,10 +98,7 @@ class TestPhi:
         for _ in range(50):
             s1 = build_phi(rng.choice(words), rng.choice(words), D6)
             s2 = build_phi(rng.choice(words), rng.choice(words), D6)
-            composed = AutomorphismSpec(
-                "phi", D6,
-                xor_offsets=tuple(a ^ b for a, b in zip(s1.xor_offsets, s2.xor_offsets)),
-            )
+            composed = xor_spec(D6, tuple(a ^ b for a, b in zip(offsets(s1), offsets(s2))))
             w = rng.choice(words)
             assert apply_map(s1, apply_map(s2, w)) == apply_map(composed, w)
 
@@ -88,13 +113,13 @@ class TestPhi:
 class TestPsi:
     def test_identity(self):
         spec = build_psi(0b101101, 0b101101, D6)
-        assert spec.block_maps == (BlockMap("translate", 0, 0),)
-        assert spec.gamma == 0
+        assert spec.images == (tuple(range(4)), tuple(range(16)))
 
     def test_reflect_example(self):
         u, v = parse_vertex("000000", D6), parse_vertex("010000", D6)
         spec = build_psi(u, v, D6)
-        assert spec.block_maps == (BlockMap("reflect", 1, 0),)
+        # block 1 reflects: pair1 -> 1 - pair1, pair2 -> -pair2; the tail is fixed
+        assert spec.images == (tuple(range(4)), tuple(make_block(1 - pair1(b), -pair2(b)) for b in range(16)))
         assert apply_map(spec, v) == u
         assert apply_map(spec, parse_vertex("100000", D6)) == parse_vertex("110000", D6)
         # the H2 edge (010000, 100000) maps onto the edge (000000, 110000)
@@ -102,12 +127,11 @@ class TestPsi:
         assert adjacent(TopologyKind.BSQ, D6, 0b000000, 0b110000)
 
     def test_mode_parity_invariants(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            u, v = rng.randrange(64), rng.randrange(64)
-            spec = build_psi(u, v, D6)
-            for m in spec.block_maps:
-                assert m.alpha % 2 == (0 if m.mode == "translate" else 1)
+        # translate on an even pair1 offset, reflect on an odd one: every block
+        # table is then an automorphism of its factor (C4 or D), for all pairs
+        for u in range(64):
+            for v in range(64):
+                assert_blocks_are_factor_automorphisms(TopologyKind.BSQ, build_psi(u, v, D6))
 
     def test_sends_v_to_u_all_pairs_n6(self):
         for u in range(64):
@@ -116,7 +140,8 @@ class TestPsi:
 
     def test_translate_inverse_composition(self):
         spec = build_psi(0b000000, 0b001100, D6)
-        assert all(m.mode == "translate" for m in spec.block_maps)
+        # block 1 translates by pair2 -3: no reflection involved
+        assert spec.images[1] == tuple(make_block(pair1(b), pair2(b) - 3) for b in range(16))
         inverse = build_psi(0b001100, 0b000000, D6)
         for w in range(64):
             assert apply_map(inverse, apply_map(spec, w)) == w
@@ -130,9 +155,8 @@ class TestPsi:
 
 class TestVerification:
     def test_corrupted_translate_with_odd_alpha_fails(self):
-        bad = AutomorphismSpec(
-            "psi", D6, block_maps=(BlockMap("translate", 1, 0),), gamma=0
-        )
+        # block 1 translated by pair1 + 1, an odd offset
+        bad = AutomorphismSpec(D6, (tuple(range(4)), tuple(make_block(pair1(b) + 1, pair2(b)) for b in range(16))))
         check = verify_automorphism(TopologyKind.BSQ, D6, bad)
         assert not check.ok
         assert check.witness is not None
@@ -142,9 +166,14 @@ class TestVerification:
         assert not adjacent(TopologyKind.BSQ, D6, apply_map(bad, u), apply_map(bad, v))
 
     def test_non_bijective_phi_fails(self):
-        bad = AutomorphismSpec("phi", D6, xor_offsets=(0, 0b0100))
+        bad = xor_spec(D6, (0, 0b0100))
         check = verify_automorphism(TopologyKind.SSQ, D6, bad)
         assert not check.ok
+        # the witness is a vertex whose image leaves SSQ_6
+        w, img = check.witness
+        assert is_valid_vertex(TopologyKind.SSQ, D6, w)
+        assert img == apply_map(bad, w)
+        assert not is_valid_vertex(TopologyKind.SSQ, D6, img)
 
     @pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
     def test_sampled_pairs_n10(self, kind):

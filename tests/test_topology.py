@@ -143,7 +143,7 @@ class TestBlockGraphs:
         assert bg.nodes == tuple(range(16))
         assert all(len(bg.adj[a]) == 4 for a in bg.nodes)
         assert bg.distance(0b0000, 0b1111) == 3
-        assert bg.eccentricity(0) == 4
+        assert max(bg.distance(0, b) for b in bg.nodes) == 4
         assert [b for b in bg.nodes if bg.distance(0, b) == 4] == [0b0010, 0b1010]
 
     @pytest.mark.parametrize("label", [C4_LABEL, B_SSQ_LABEL, D_BSQ_LABEL])

@@ -1,4 +1,4 @@
-"""Word codec: parsing, block accessors, prefixes/suffixes, Hamming metrics."""
+"""Word codec: parsing, block accessors, Hamming and block metrics."""
 import random
 
 import pytest
@@ -8,19 +8,15 @@ from shufflecube import (
     Dimension,
     InvalidVertexError,
     TopologyKind,
-    assemble,
     blocks,
     format_vertex,
     get_block,
-    h4,
-    h4_star,
     hamming,
     is_valid_vertex,
     parse_vertex,
-    prefix,
     set_block,
-    suffix,
 )
+from shufflecube.words import differing_blocks
 
 D6 = Dimension(6)
 D10 = Dimension(10)
@@ -100,37 +96,20 @@ class TestBlocks:
         dim = Dimension(14)
         parts = blocks(u, dim)
         assert len(parts) == dim.k + 1
-        assert assemble(parts, dim) == u
-
-
-class TestPrefixSuffix:
-    def test_examples(self):
-        u = parse_vertex("110100", D6)
-        assert prefix(u, 4, D6) == "1101"
-        assert suffix(u, 2, D6) == "00"
-        assert prefix(u, 0, D6) == ""
-        assert suffix(u, 0, D6) == ""
-
-    def test_full_width(self):
-        u = parse_vertex("110100", D6)
-        assert prefix(u, 6, D6) == "110100"
-        assert suffix(u, 6, D6) == "110100"
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            prefix(0, 7, D6)
-        with pytest.raises(IndexError):
-            suffix(0, -1, D6)
+        rebuilt = 0
+        for j, value in enumerate(parts):
+            rebuilt = set_block(rebuilt, j, value, dim)
+        assert rebuilt == u
 
 
 class TestHammingMetrics:
     def test_hamming_example(self):
         assert hamming(parse_vertex("000000", D6), parse_vertex("001111", D6)) == 4
 
+    # h4 counts the blocks where two words differ, h4* those among blocks 1..k
     def test_h4_examples(self):
-        assert h4(0b000000, 0b000001, D6) == 1
-        assert h4_star(0b000000, 0b000001, D6) == 0
-        assert h4(parse_vertex("110101", D6), 0, D6) == 2
+        assert differing_blocks(0b000000, 0b000001, D6) == [0]
+        assert differing_blocks(parse_vertex("110101", D6), 0, D6) == [0, 1]
 
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_hamming_matches_string_compare(self, u, v):
@@ -139,7 +118,10 @@ class TestHammingMetrics:
 
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_h4_star_le_h4(self, u, v):
-        assert h4_star(u, v, D10) <= h4(u, v, D10) <= h4_star(u, v, D10) + 1
+        diff = differing_blocks(u, v, D10)
+        assert diff == sorted(set(diff))
+        h4_star = sum(1 for j in diff if j)
+        assert h4_star <= len(diff) <= h4_star + 1
 
 
 class TestValidity:
