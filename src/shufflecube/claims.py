@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import analysis, hamiltonian, routing, symmetry
 from .topology import TopologyKind, bh_neighbors, block_graph, D_BSQ_LABEL, materialize, neighbor_sets
@@ -31,9 +32,12 @@ class ClaimRecord:
     description: str
     expected: object
     computed: object
-    passed: bool
     informational: bool = False
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.computed
 
     def as_dict(self) -> dict:
         out = {
@@ -75,25 +79,11 @@ class ClaimsReport:
         return json.dumps(self.as_dict(include_timing), indent=2) + "\n"
 
 
-class _Runner:
-    def __init__(self, report: ClaimsReport):
-        self.report = report
-        self._t0 = 0.0
-
-    def add(self, cid, description, expected, computed, informational=False, note=""):
-        self.report.records.append(
-            ClaimRecord(cid, description, expected, computed, expected == computed, informational, note)
-        )
-        now = time.perf_counter()
-        self.report.timing[cid] = round(now - self._t0, 3)
-        self._t0 = now
-
-    def start(self):
-        self._t0 = time.perf_counter()
-
-
 def run_claims(n_values: list[int]) -> ClaimsReport:
-    """Run the full suite for each dimension (distinct n = 2 mod 4, 6 <= n <= 14)."""
+    """Run the full suite for each dimension (distinct n = 2 mod 4, 6 <= n <= 14).
+
+    The only writer of `timing`: each record's seconds since the previous one.
+    """
     for n in n_values:
         Dimension(n)
         if not 6 <= n <= 14:
@@ -101,29 +91,26 @@ def run_claims(n_values: list[int]) -> ClaimsReport:
     if len(set(n_values)) != len(n_values):
         raise ValueError(f"claims suite takes each n once, got {' '.join(map(str, n_values))}")
     report = ClaimsReport(list(n_values))
-    run = _Runner(report)
-    run.start()
-    _global_claims(run)
-    for n in n_values:
-        _sq_claims(run, n)
-        _ssq_claims(run, n)
-        _bsq_claims(run, n)
-        _routing_claims(run, n)
-        _hamiltonian_claims(run, n)
-        _equivalence_claims(run, n)
-        _discrepancy_claims(run, n)
+    sections = (_sq_claims, _ssq_claims, _bsq_claims, _routing_claims,
+                _hamiltonian_claims, _equivalence_claims, _discrepancy_claims)
+    t0 = time.perf_counter()
+    for record in chain(_global_claims(), *(section(n) for n in n_values for section in sections)):
+        now = time.perf_counter()
+        report.records.append(record)
+        report.timing[record.id] = round(now - t0, 3)
+        t0 = now
     return report
 
 
 # ---------------------------------------------------------------------------
 
-def _global_claims(run: _Runner):
+def _global_claims():
     d = block_graph(D_BSQ_LABEL)
     matches = all(
         set(d.adj[b]) == {make_block(*a) for a in bh_neighbors(2, (pair1(b), b & 3))}
         for b in d.nodes
     )
-    run.add(
+    yield ClaimRecord(
         "block-d-matches-bh2-rule",
         "the 16-node block graph equals the radix-4 balanced-hypercube rule on (pair1, pair2)",
         True,
@@ -131,7 +118,7 @@ def _global_claims(run: _Runner):
     )
     census = analysis.bh_same_neighborhood_pairs(2)
     pattern = analysis.bh_pattern_pairs(2)
-    run.add(
+    yield ClaimRecord(
         "bh2-equivalence-coordinate0",
         "BH_2 same-neighborhood pairs are exactly the coordinate-0 +2 pairs (8 of them)",
         {"pairs": 8, "matches_pattern": True},
@@ -139,7 +126,7 @@ def _global_claims(run: _Runner):
     )
     for name, fixture in (("h1", hamiltonian.fixture_h1()), ("h2", hamiltonian.fixture_h2())):
         check = hamiltonian.validate_cycle(fixture.kind, Dimension(fixture.n), fixture.vertices)
-        run.add(
+        yield ClaimRecord(
             f"fixture-{name}-valid",
             f"embedded {len(fixture)}-vertex reference cycle is Hamiltonian in {fixture.kind.value}_6",
             True,
@@ -147,32 +134,33 @@ def _global_claims(run: _Runner):
         )
 
 
-def _basic_graph_claims(run: _Runner, kind: TopologyKind, n: int, expected_count: int):
+def _basic_graph_claims(kind: TopologyKind, n: int, expected_count: int):
+    """Vertex count, regularity and connectivity; returns the materialized graph."""
     g = materialize(kind, n)
     tag = kind.value.lower()
-    run.add(f"{tag}{n}-vertex-count", f"{kind.value}_{n} vertex count", expected_count, g.num_vertices)
-    run.add(
+    yield ClaimRecord(f"{tag}{n}-vertex-count", f"{kind.value}_{n} vertex count", expected_count, g.num_vertices)
+    yield ClaimRecord(
         f"{tag}{n}-regular",
         f"{kind.value}_{n} is {n}-regular",
         [n],
         sorted({g.degree(i) for i in range(g.num_vertices)}),
     )
-    run.add(f"{tag}{n}-connected", f"{kind.value}_{n} is connected", True, analysis.is_connected(g))
+    yield ClaimRecord(f"{tag}{n}-connected", f"{kind.value}_{n} is connected", True, analysis.is_connected(g))
     return g
 
 
-def _sq_claims(run: _Runner, n: int):
-    g = _basic_graph_claims(run, TopologyKind.SQ, n, 1 << n)
-    run.add(f"sq{n}-girth", f"girth of SQ_{n} is 3", 3, analysis.girth(g))
-    run.add(f"sq{n}-non-bipartite", f"SQ_{n} is non-bipartite", False, analysis.bipartition(g).bipartite)
-    run.add(f"sq{n}-clique-number", f"clique number of SQ_{n} is 4", 4, analysis.clique_number(g))
+def _sq_claims(n: int):
+    g = yield from _basic_graph_claims(TopologyKind.SQ, n, 1 << n)
+    yield ClaimRecord(f"sq{n}-girth", f"girth of SQ_{n} is 3", 3, analysis.girth(g))
+    yield ClaimRecord(f"sq{n}-non-bipartite", f"SQ_{n} is non-bipartite", False, analysis.bipartition(g).bipartite)
+    yield ClaimRecord(f"sq{n}-clique-number", f"clique number of SQ_{n} is 4", 4, analysis.clique_number(g))
     census = analysis.k4_census(g)
     k = (n - 2) // 4
     pattern_ok = all(
         census.membership[i] == (k if g.word_of(i) & 3 == 0 else 0)
         for i in range(g.num_vertices)
     )
-    run.add(
+    yield ClaimRecord(
         f"sq{n}-k4-membership",
         f"every vertex of SQ_{n} lies in {k} four-cliques when its tail is 00, else none",
         True,
@@ -181,26 +169,22 @@ def _sq_claims(run: _Runner, n: int):
     if n == 6:
         covered = sorted({x for quad in census.quads for x in quad})
         tails00 = [i for i in range(g.num_vertices) if g.word_of(i) & 3 == 0]
-        run.add(
+        yield ClaimRecord(
             "sq6-k4-disjoint-cover",
             "SQ_6 has exactly 4 pairwise-disjoint four-cliques covering the 16 tail-00 vertices",
             {"count": 4, "disjoint": True, "cover": True},
-            {
-                "count": len(census.quads),
-                "disjoint": census.pairwise_disjoint,
-                "cover": covered == tails00,
-            },
+            {"count": len(census.quads), "disjoint": census.pairwise_disjoint, "cover": covered == tails00},
         )
     vc = analysis.vertex_transitivity_certificate(g)
     ec = analysis.edge_transitivity_certificate(g)
-    run.add(
+    yield ClaimRecord(
         f"sq{n}-not-vertex-transitive",
         f"vertex profiles refute vertex-transitivity of SQ_{n}",
         "refuted",
         vc.verdict,
         note=_witness_note(vc, n),
     )
-    run.add(
+    yield ClaimRecord(
         f"sq{n}-not-edge-transitive",
         f"edge profiles refute edge-transitivity of SQ_{n}",
         "refuted",
@@ -222,17 +206,13 @@ def _witness_note(cert: analysis.TransitivityCertificate, n: int) -> str:
     return f"witness {fmt(cert.witness[0])} vs {fmt(cert.witness[1])}: {cert.detail}"
 
 
-def _ssq_claims(run: _Runner, n: int):
-    g = _basic_graph_claims(run, TopologyKind.SSQ, n, 1 << (3 * n + 2) // 4)
-    run.add(f"ssq{n}-girth", f"girth of SSQ_{n} is 3", 3, analysis.girth(g))
-    run.add(f"ssq{n}-non-bipartite", f"SSQ_{n} is non-bipartite", False, analysis.bipartition(g).bipartite)
-    run.add(
-        f"ssq{n}-diameter",
-        f"BFS diameter of SSQ_{n} equals (n-2)/2 + 2",
-        (n - 2) // 2 + 2,
-        analysis.diameter(g).value,
-    )
-    _transitivity_claims(run, TopologyKind.SSQ, n)
+def _ssq_claims(n: int):
+    g = yield from _basic_graph_claims(TopologyKind.SSQ, n, 1 << (3 * n + 2) // 4)
+    yield ClaimRecord(f"ssq{n}-girth", f"girth of SSQ_{n} is 3", 3, analysis.girth(g))
+    yield ClaimRecord(f"ssq{n}-non-bipartite", f"SSQ_{n} is non-bipartite", False, analysis.bipartition(g).bipartite)
+    yield ClaimRecord(f"ssq{n}-diameter", f"BFS diameter of SSQ_{n} equals (n-2)/2 + 2",
+                      (n - 2) // 2 + 2, analysis.diameter(g).value)
+    yield from _transitivity_claims(TopologyKind.SSQ, n)
 
 
 def _bsq_class(dim: Dimension, u: int) -> int:
@@ -240,8 +220,8 @@ def _bsq_class(dim: Dimension, u: int) -> int:
     return (total + get_block(u, 0, dim)) % 2
 
 
-def _bsq_claims(run: _Runner, n: int):
-    g = _basic_graph_claims(run, TopologyKind.BSQ, n, 1 << n)
+def _bsq_claims(n: int):
+    g = yield from _basic_graph_claims(TopologyKind.BSQ, n, 1 << n)
     dim = g.dim
     part = analysis.bipartition(g)
     classes = [_bsq_class(dim, w) for w in g.words]
@@ -249,53 +229,62 @@ def _bsq_claims(run: _Runner, n: int):
     coloring_matches = part.bipartite and (
         list(part.coloring) == classes or [1 - c for c in part.coloring] == classes
     )
-    run.add(
+    yield ClaimRecord(
         f"bsq{n}-bipartite-class-function",
         f"BSQ_{n} is bipartite and the parity class (sum of pair1s plus tail, mod 2) is a proper 2-coloring",
         {"bipartite": True, "class_function": True, "coloring_matches": True},
         {"bipartite": part.bipartite, "class_function": class_ok, "coloring_matches": coloring_matches},
     )
-    run.add(f"bsq{n}-girth", f"girth of BSQ_{n} is 4", 4, analysis.girth(g))
-    run.add(
-        f"bsq{n}-diameter",
-        f"BFS diameter of BSQ_{n} equals n",
-        n,
-        analysis.diameter(g).value,
+    yield ClaimRecord(f"bsq{n}-girth", f"girth of BSQ_{n} is 4", 4, analysis.girth(g))
+    yield ClaimRecord(f"bsq{n}-diameter", f"BFS diameter of BSQ_{n} equals n", n, analysis.diameter(g).value)
+    yield from _transitivity_claims(TopologyKind.BSQ, n)
+
+
+def _pair_scope(g, everything: str, sample) -> tuple[list[tuple[int, int]], str]:
+    """Every ordered pair at n <= FULL_PAIR_SCAN_N, else `sample(g)`; and the phrase naming them."""
+    if g.n <= FULL_PAIR_SCAN_N:
+        return [(u, v) for u in g.words for v in g.words], everything
+    pairs = sample(g)
+    return pairs, f"{len(pairs)} sampled pairs"
+
+
+def _map_sample(g) -> list[tuple[int, int]]:
+    rng = random.Random(0xA0 + g.n)
+    return [(rng.choice(g.words), rng.choice(g.words)) for _ in range(SAMPLED_MAP_PAIRS)]
+
+
+def _grid_sample(g) -> list[tuple[int, int]]:
+    rng = random.Random(0xB0 + g.n)
+    sources = rng.sample(g.words, ROUTING_GRID[g.n])
+    dests = rng.sample(g.words, ROUTING_GRID[g.n])
+    return [(s, d) for s in sources for d in dests]
+
+
+def _pair_record(cid: str, description: str, pairs: list, failures: int) -> ClaimRecord:
+    return ClaimRecord(
+        cid, description, {"pairs": len(pairs), "failures": 0}, {"pairs": len(pairs), "failures": failures}
     )
-    _transitivity_claims(run, TopologyKind.BSQ, n)
 
 
-def _map_pairs(kind: TopologyKind, n: int) -> list[tuple[int, int]]:
-    g = materialize(kind, n)
-    if n <= FULL_PAIR_SCAN_N:
-        return [(u, v) for u in g.words for v in g.words]
-    rng = random.Random(0xA0 + n)
-    return [
-        (rng.choice(g.words), rng.choice(g.words))
-        for _ in range(SAMPLED_MAP_PAIRS)
-    ]
-
-
-def _transitivity_claims(run: _Runner, kind: TopologyKind, n: int):
+def _transitivity_claims(kind: TopologyKind, n: int):
     tag = kind.value.lower()
-    dim = Dimension(n)
+    g = materialize(kind, n)
+    dim = g.dim
     build = symmetry.build_phi if kind is TopologyKind.SSQ else symmetry.build_psi
-    pairs = _map_pairs(kind, n)
+    pairs, scope = _pair_scope(g, "all ordered vertex pairs", _map_sample)
     failures = 0
     for u, v in pairs:
         spec = build(u, v, dim)
-        if symmetry.apply_map(spec, v) != u or not symmetry.verify_automorphism(kind, dim, spec).ok:
-            failures += 1
-    scope = "all ordered vertex pairs" if n <= FULL_PAIR_SCAN_N else f"{len(pairs)} sampled pairs"
-    run.add(
+        failures += symmetry.apply_map(spec, v) != u or not symmetry.verify_automorphism(kind, dim, spec).ok
+    yield _pair_record(
         f"{tag}{n}-vertex-transitive-maps",
         f"for {scope} of {kind.value}_{n}, the built map sends v to u, is a bijection and preserves every edge",
-        {"pairs": len(pairs), "failures": 0},
-        {"pairs": len(pairs), "failures": failures},
+        pairs,
+        failures,
     )
     if n == 6:
-        cert = analysis.vertex_transitivity_certificate(materialize(kind, n))
-        run.add(
+        cert = analysis.vertex_transitivity_certificate(g)
+        yield ClaimRecord(
             f"{tag}{n}-no-invariant-obstruction",
             f"degree/triangle/K4/eccentricity profiles of {kind.value}_{n} are uniform",
             "no-invariant-obstruction",
@@ -303,25 +292,14 @@ def _transitivity_claims(run: _Runner, kind: TopologyKind, n: int):
         )
 
 
-def _routing_pairs(kind: TopologyKind, n: int) -> list[tuple[int, int]]:
-    g = materialize(kind, n)
-    if n <= FULL_PAIR_SCAN_N:
-        return [(u, v) for u in g.words for v in g.words]
-    grid = ROUTING_GRID.get(n, 32)
-    rng = random.Random(0xB0 + n)
-    sources = rng.sample(g.words, grid)
-    dests = rng.sample(g.words, grid)
-    return [(s, d) for s in sources for d in dests]
-
-
-def _routing_claims(run: _Runner, n: int):
+def _routing_claims(n: int):
     for kind in (TopologyKind.SSQ, TopologyKind.BSQ):
         tag = kind.value.lower()
-        dim = Dimension(n)
         g = materialize(kind, n)
+        dim = g.dim
         nbr_sets = neighbor_sets(g)
         route = routing.route_ssq if kind is TopologyKind.SSQ else routing.route_bsq
-        pairs = _routing_pairs(kind, n)
+        pairs, scope = _pair_scope(g, "all ordered pairs", _grid_sample)
         dist_cache: dict[int, list[int]] = {}
         route_failures = 0
         decomposition_failures = 0
@@ -340,29 +318,28 @@ def _routing_claims(run: _Runner, n: int):
             )
             route_failures += not ok
             decomposition_failures += routing.distance_of(kind, dim, src, dst) != oracle
-        scope = "all ordered pairs" if n <= FULL_PAIR_SCAN_N else f"{len(pairs)} sampled pairs"
-        run.add(
+        yield _pair_record(
             f"{tag}{n}-routing-optimal",
             f"for {scope} of {kind.value}_{n}, routed paths are simple oracle-edge walks of exact BFS length",
-            {"pairs": len(pairs), "failures": 0},
-            {"pairs": len(pairs), "failures": route_failures},
+            pairs,
+            route_failures,
         )
-        run.add(
+        yield _pair_record(
             f"{tag}{n}-distance-decomposition",
             f"blockwise distance of {kind.value}_{n} equals BFS distance on the same pairs",
-            {"pairs": len(pairs), "failures": 0},
-            {"pairs": len(pairs), "failures": decomposition_failures},
+            pairs,
+            decomposition_failures,
         )
 
 
-def _hamiltonian_claims(run: _Runner, n: int):
+def _hamiltonian_claims(n: int):
     for kind in (TopologyKind.SSQ, TopologyKind.BSQ):
         tag = kind.value.lower()
         dim = Dimension(n)
         cycle = hamiltonian.hamiltonian_cycle(kind, dim)
         check = hamiltonian.validate_cycle(kind, dim, cycle.vertices)
         expected_len = materialize(kind, n).num_vertices
-        run.add(
+        yield ClaimRecord(
             f"{tag}{n}-hamiltonian-cycle",
             f"generated cycle of {kind.value}_{n} is Hamiltonian",
             {"valid": True, "length": expected_len},
@@ -377,7 +354,7 @@ def _changed_block_neighbors(g, nbr_sets, i: int, j: int, dim: Dimension) -> fro
     )
 
 
-def _equivalence_claims(run: _Runner, n: int):
+def _equivalence_claims(n: int):
     dim = Dimension(n)
     g = materialize(TopologyKind.BSQ, n)
     nbr_sets = neighbor_sets(g)
@@ -391,14 +368,14 @@ def _equivalence_claims(run: _Runner, n: int):
             blockwise_ok = False
             break
     k = (n - 2) // 4
-    run.add(
+    yield ClaimRecord(
         f"bsq{n}-blockwise-equivalence",
         f"every bit-(4j+1) pair of BSQ_{n} has identical changed-block neighbor sets, {k} such partners per vertex",
         {"blockwise": True, "partners_per_vertex": k},
         {"blockwise": blockwise_ok, "partners_per_vertex": 2 * len(pattern) // (1 << n)},
     )
     census = analysis.same_neighborhood_pairs(g)
-    run.add(
+    yield ClaimRecord(
         f"bsq{n}-neighborhood-census",
         f"extensional same-neighborhood census of BSQ_{n}",
         {"pairs": 0},
@@ -412,13 +389,13 @@ def _equivalence_claims(run: _Runner, n: int):
     )
 
 
-def _discrepancy_claims(run: _Runner, n: int):
+def _discrepancy_claims(n: int):
     dim = Dimension(n)
     k = dim.k
     ssq = materialize(TopologyKind.SSQ, n)
     far_word = int("1101" * k + "11", 2)
     measured = analysis.bfs_distances(ssq, ssq.index_of(0))[ssq.index_of(far_word)]
-    run.add(
+    yield ClaimRecord(
         f"ssq{n}-eccentric-witness-distance",
         f"distance from the zero vertex of SSQ_{n} to {format_vertex(far_word, dim)}",
         2 * k + 1,
@@ -428,9 +405,8 @@ def _discrepancy_claims(run: _Runner, n: int):
         "true eccentric vertices have tail 10",
     )
     bsq = materialize(TopologyKind.BSQ, n)
-    ones = dim.mask
-    measured = analysis.bfs_distances(bsq, bsq.index_of(0))[bsq.index_of(ones)]
-    run.add(
+    measured = analysis.bfs_distances(bsq, bsq.index_of(0))[bsq.index_of(dim.mask)]
+    yield ClaimRecord(
         f"bsq{n}-antipode-distance",
         f"distance from the zero vertex of BSQ_{n} to the all-ones vertex",
         3 * k + 1,

@@ -16,7 +16,6 @@ from .errors import InvalidVertexError, ResourceLimitError
 from .topology import TopologyKind, materialize
 from .words import Dimension, format_vertex, parse_vertex
 
-ANALYZE_CHECKS = ("degree", "girth", "bipartite", "cliques", "diameter", "transitivity", "equivalence")
 
 
 def _kind(text: str) -> TopologyKind:
@@ -95,55 +94,78 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    g = materialize(args.kind, Dimension(args.n).n)
-    requested = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for c in requested:
-        if c not in ANALYZE_CHECKS:
-            print(f"unknown check {c!r}; valid checks: {', '.join(ANALYZE_CHECKS)}", file=sys.stderr)
-            return 2
-    results = {}
-    for c in requested:
-        results[c] = _run_check(g, c)
-    print(json.dumps({"kind": g.kind.value, "n": g.n, "checks": results}, indent=2))
-    return 0
+def _degree_check(g) -> dict:
+    degrees = {g.degree(i) for i in range(g.num_vertices)}
+    return {"regular": len(degrees) == 1, "degree": sorted(degrees)[-1]}
 
 
-def _run_check(g, check: str):
-    if check == "degree":
-        degrees = {g.degree(i) for i in range(g.num_vertices)}
-        return {"regular": len(degrees) == 1, "degree": sorted(degrees)[-1]}
-    if check == "girth":
-        value = analysis.girth(g)
-        return {"girth": value if value != float("inf") else None}
-    if check == "bipartite":
-        part = analysis.bipartition(g)
-        out = {"bipartite": part.bipartite}
-        if not part.bipartite:
-            out["odd_cycle_length"] = len(part.odd_cycle)
-        return out
-    if check == "cliques":
-        census = analysis.k4_census(g)
-        return {"clique_number": analysis.clique_number(g), "k4_count": len(census.quads)}
-    if check == "diameter":
-        result = analysis.diameter(g)
-        return {"diameter": result.value, "method": result.method}
-    if check == "transitivity":
-        out = {}
-        for name, cert in (
-            ("vertex", analysis.vertex_transitivity_certificate(g)),
-            ("edge", analysis.edge_transitivity_certificate(g)),
-        ):
-            entry = {"verdict": cert.verdict}
-            if cert.refuted:
-                entry["detail"] = cert.detail
-            out[name] = entry
-        return out
+def _girth_check(g) -> dict:
+    value = analysis.girth(g)
+    return {"girth": value if value != float("inf") else None}
+
+
+def _bipartite_check(g) -> dict:
+    part = analysis.bipartition(g)
+    out = {"bipartite": part.bipartite}
+    if not part.bipartite:
+        out["odd_cycle_length"] = len(part.odd_cycle)
+    return out
+
+
+def _cliques_check(g) -> dict:
+    census = analysis.k4_census(g)
+    return {"clique_number": analysis.clique_number(g), "k4_count": len(census.quads)}
+
+
+def _diameter_check(g) -> dict:
+    result = analysis.diameter(g)
+    return {"diameter": result.value, "method": result.method}
+
+
+def _transitivity_check(g) -> dict:
+    out = {}
+    for name, cert in (
+        ("vertex", analysis.vertex_transitivity_certificate(g)),
+        ("edge", analysis.edge_transitivity_certificate(g)),
+    ):
+        entry = {"verdict": cert.verdict}
+        if cert.refuted:
+            entry["detail"] = cert.detail
+        out[name] = entry
+    return out
+
+
+def _equivalence_check(g) -> dict:
     census = analysis.same_neighborhood_pairs(g)
     out = {"same_neighborhood_pairs": len(census)}
     if g.kind is TopologyKind.BSQ:
         out["bit_pattern_pairs"] = len(analysis.bsq_pattern_pairs(g.n))
     return out
+
+
+_CHECKS = {
+    "degree": _degree_check,
+    "girth": _girth_check,
+    "bipartite": _bipartite_check,
+    "cliques": _cliques_check,
+    "diameter": _diameter_check,
+    "transitivity": _transitivity_check,
+    "equivalence": _equivalence_check,
+}
+ANALYZE_CHECKS = tuple(_CHECKS)
+
+
+def _cmd_analyze(args) -> int:
+    g = materialize(args.kind, Dimension(args.n).n)
+    requested = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in requested if c not in _CHECKS]
+    if not requested or unknown:
+        what = f"unknown check {unknown[0]!r}" if unknown else "no checks requested"
+        print(f"{what}; valid checks: {', '.join(ANALYZE_CHECKS)}", file=sys.stderr)
+        return 2
+    results = {c: _CHECKS[c](g) for c in requested}
+    print(json.dumps({"kind": g.kind.value, "n": g.n, "checks": results}, indent=2))
+    return 0
 
 
 def _cmd_route(args) -> int:

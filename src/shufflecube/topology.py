@@ -11,7 +11,9 @@ Supported kinds:
 * BSQ  - balanced shuffle cube D^k □ C4: a block edge moves pair1 by +-1 mod 4
          and leaves pair2 alone or shifts it by (-1)^(pair1 low bit); the tail
          steps +-1 mod 4.
-* BH   - balanced hypercube on radix-4 coordinate tuples (own vertex type).
+
+BH_m, the balanced hypercube on radix-4 coordinate tuples, is not a kind: its
+vertices are tuples, not words, and `bh_neighbors` gives its edges.
 
 SSQ and BSQ are Cartesian products: `product_factors` gives each block its
 factor `BlockGraph` (the C4 tail, then k copies of B or D), and their vertex
@@ -52,7 +54,6 @@ class TopologyKind(str, Enum):
     SQ = "SQ"
     SSQ = "SSQ"
     BSQ = "BSQ"
-    BH = "BH"
 
 
 # Flip-value sets indexed by the 2-bit tag; 1111 appears in both V_00 and V_11.
@@ -77,8 +78,6 @@ def is_valid_vertex(kind: TopologyKind, dim: Dimension, u: VertexWord) -> bool:
     Q, SQ and BSQ use all 2^n words; SSQ keeps only words whose blocks
     j >= 1 are nodes of B, that is have pair1 in {00, 11}.
     """
-    if kind is TopologyKind.BH:
-        raise ValueError("BH vertices are coordinate tuples; use bh_neighbors")
     if not 0 <= u <= dim.mask:
         return False
     if kind in (TopologyKind.Q, TopologyKind.SQ):
@@ -282,8 +281,6 @@ def _require_size(kind: TopologyKind, dim: Dimension) -> int:
 def materialize(kind: TopologyKind, n: int) -> CubeGraph:
     """Build the full graph for a kind at dimension n (vertex cap 2^20); one n's SQ, SSQ and BSQ stay cached."""
     dim = Dimension(n)
-    if kind is TopologyKind.BH:
-        raise ValueError("BH is not materialized as a CubeGraph; use bh_neighbors")
     count = _require_size(kind, dim)
     words = tuple(range(count)) if count == 1 << n else _product_words(product_factors(kind, dim), dim)
     index = {u: i for i, u in enumerate(words)}

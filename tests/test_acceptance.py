@@ -14,6 +14,7 @@ pattern pairs share their changed-block neighbors and differ in their tail
 neighbors, and the nominal statement holds in the 16-node block graph D.
 """
 import json
+import pathlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -293,16 +294,11 @@ def test_criterion_8_bsq_equivalence():
     )
 
 
-def test_criterion_9_discrepancies_reproduced(ssq6, bsq6):
+def test_criterion_9_discrepancies_reproduced(ssq6, bsq6, claims6_run):
     dist_bsq = bfs_distances(bsq6, bsq6.index_of(0))
     dist_ssq = bfs_distances(ssq6, ssq6.index_of(0))
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli_main(["verify-claims", "6", "--no-timing"])
-    by_id = {rec["id"]: rec for rec in json.loads(buf.getvalue())["claims"]}
+    code, out = claims6_run
+    by_id = {rec["id"]: rec for rec in json.loads(out)["claims"]}
     checks = {
         "d(BSQ_6)(000000,111111) = 4": dist_bsq[bsq6.index_of(parse_vertex("111111", D6))] == 4,
         "d(SSQ_6)(000000,110111) = 3": dist_ssq[ssq6.index_of(parse_vertex("110111", D6))] == 3,
@@ -320,9 +316,11 @@ def test_criterion_10_verify_claims_deterministic(capsys):
     out_a = capsys.readouterr().out
     code_b = cli_main(["verify-claims", "6", "10", "--no-timing"])
     out_b = capsys.readouterr().out
+    golden = pathlib.Path(__file__).parent / "data" / "claims_n6_10.json"
     checks = {
         "exit 0": code_a == 0 and code_b == 0,
         "byte-identical reports": out_a == out_b,
         "overall_pass true": json.loads(out_a)["overall_pass"] is True,
+        "matches tests/data/claims_n6_10.json": out_a == golden.read_text(),
     }
     report(10, "verify-claims over n in {6,10} exits 0 deterministically", checks)

@@ -247,8 +247,8 @@ class TestVerifyClaims:
         assert code == 0
         assert first == second
 
-    def test_report_contains_discrepancy_records(self, capsys):
-        _, out, _ = run_cli(capsys, "verify-claims", "6", "--no-timing")
+    def test_report_contains_discrepancy_records(self, claims6_run):
+        _, out = claims6_run
         by_id = {rec["id"]: rec for rec in json.loads(out)["claims"]}
         antipode = by_id["bsq6-antipode-distance"]
         assert antipode["informational"] and antipode["computed"] == 4
@@ -272,14 +272,11 @@ class TestVerifyClaims:
     def test_timing_section_present_by_default(self, capsys):
         _, out, _ = run_cli(capsys, "verify-claims", "6")
         report = json.loads(out)
-        assert set(report["timing"]) == {rec["id"] for rec in report["claims"]}
+        assert list(report["timing"]) == [rec["id"] for rec in report["claims"]]
 
-    def test_matches_golden_n6(self, capsys):
-        import pathlib
-
+    def test_matches_golden_n6(self, claims6_run):
         golden = pathlib.Path(__file__).parent / "data" / "claims_n6.json"
-        _, out, _ = run_cli(capsys, "verify-claims", "6", "--no-timing")
-        assert out == golden.read_text()
+        assert claims6_run[1] == golden.read_text()
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -326,7 +323,8 @@ CONTRACT = [
     ("generate --kind q --n 22", 2),
     ("analyze --kind ssq --n 6 --checks girth", 0),
     ("analyze --kind bh --n 6", 2),
-    ("analyze --kind ssq --n 6 --checks=", 0),
+    ("analyze --kind ssq --n 6 --checks=", 2),
+    ("analyze --kind ssq --n 6 --checks=,", 2),
     ("analyze --kind ssq --n 6 --checks girth,bogus", 2),
     ("analyze --kind ssq --n 3", 2),
     ("analyze --kind sq --n 22", 2),

@@ -138,7 +138,3 @@ class TestValidity:
         dim = Dimension(n)
         count = sum(is_valid_vertex(TopologyKind.SSQ, dim, u) for u in range(1 << n))
         assert count == expected == 1 << (3 * n + 2) // 4
-
-    def test_bh_kind_unsupported(self):
-        with pytest.raises(ValueError):
-            is_valid_vertex(TopologyKind.BH, D6, 0)
