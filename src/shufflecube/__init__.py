@@ -6,6 +6,7 @@ Hamiltonian-cycle machinery.
 """
 
 from .errors import (
+    Check,
     ConstructionError,
     DisconnectedGraphError,
     InvalidVertexError,
@@ -39,13 +40,11 @@ from .topology import (
     adjacent,
     bh_neighbors,
     block_graph,
-    block_graph_for,
     is_valid_vertex,
     materialize,
     neighbor_sets,
     neighbors,
     product_factors,
-    v_set,
 )
 from .analysis import (
     BipartitionResult,
@@ -69,7 +68,6 @@ from .analysis import (
     vertex_transitivity_certificate,
 )
 from .symmetry import (
-    AutomorphismCheck,
     AutomorphismSpec,
     apply_map,
     build_phi,
@@ -83,10 +81,7 @@ from .routing import (
     route_ssq,
 )
 from .hamiltonian import (
-    CycleCheck,
-    FactorCycle,
     HamiltonianCycle,
-    factor_cycle,
     fixture_h1,
     fixture_h2,
     hamiltonian_cycle,

@@ -238,27 +238,16 @@ class TransitivityCertificate:
         return self.verdict == "refuted"
 
 
-def _vertex_profiles(g: CubeGraph, with_eccentricity: bool):
+def vertex_transitivity_certificate(g: CubeGraph) -> TransitivityCertificate:
+    """Compare (degree, triangles, K4 count) across vertices, then eccentricity up to FULL_SCAN_CAP."""
     tri, _ = triangle_counts(g)
     k4 = k4_census(g).membership
-    base = [(g.degree(i), tri[i], k4[i]) for i in range(g.num_vertices)]
-    if with_eccentricity:
-        return [p + (eccentricity(g, i),) for i, p in enumerate(base)]
-    return base
-
-
-def vertex_transitivity_certificate(g: CubeGraph) -> TransitivityCertificate:
-    """Compare (degree, triangles, K4 count, eccentricity) across vertices."""
-    profiles = _vertex_profiles(g, with_eccentricity=False)
+    profiles = [(g.degree(i), tri[i], k4[i]) for i in range(g.num_vertices)]
     cert = _first_profile_mismatch(g, profiles, names=("degree", "triangles", "k4"))
-    if cert is not None:
-        return cert
-    if g.num_vertices <= FULL_SCAN_CAP:
-        profiles = _vertex_profiles(g, with_eccentricity=True)
-        cert = _first_profile_mismatch(g, profiles, names=("degree", "triangles", "k4", "eccentricity"))
-        if cert is not None:
-            return cert
-    return TransitivityCertificate("no-invariant-obstruction")
+    if cert is None and g.num_vertices <= FULL_SCAN_CAP:
+        profiles = [(eccentricity(g, i),) for i in range(g.num_vertices)]
+        cert = _first_profile_mismatch(g, profiles, names=("eccentricity",))
+    return cert or TransitivityCertificate("no-invariant-obstruction")
 
 
 def _first_profile_mismatch(g, profiles, names):

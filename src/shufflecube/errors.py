@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception and check-result types shared across the package."""
+from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class InvalidVertexError(ValueError):
@@ -19,3 +22,12 @@ class DisconnectedGraphError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A cycle construction cannot close with the given factors."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of a validator: ok, else a reason and the offending vertices or edge, if any."""
+
+    ok: bool
+    reason: str = ""
+    witness: tuple | None = None

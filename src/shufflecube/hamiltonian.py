@@ -1,29 +1,21 @@
-"""Hamiltonian cycles for SSQ and BSQ: factor cycles, snake products, fixtures.
+"""Hamiltonian cycles for SSQ and BSQ: the snake fold, fixtures, validator.
 
 Both topologies are block products, so a Hamiltonian cycle of the whole graph
-is built by folding a boustrophedon sweep over the factor cycles, innermost
-tail first.  Two explicit 6-bit cycles (one per topology) are embedded as
-fixtures: validating them against the adjacency oracles pins down the tail's
-mod-4 semantics and the block rules end to end.
+is built by folding a boustrophedon sweep over the factor cycles
+(`BlockGraph.cycle` of each of `product_factors`), innermost tail first.  Two
+explicit 6-bit cycles (one per topology) are embedded as fixtures: validating
+them against the adjacency oracles pins down the tail's mod-4 semantics and
+the block rules end to end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
 from typing import Sequence
 
-from .errors import ConstructionError
+from .errors import Check, ConstructionError
 from .words import Dimension, VertexWord, set_block
-from .topology import TopologyKind, _require_size, adjacent, block_graph, materialize, product_factors
-
-
-@dataclass(frozen=True)
-class FactorCycle:
-    """A Hamiltonian cycle of one factor block graph."""
-
-    label: str
-    nodes: tuple[int, ...]
+from .topology import TopologyKind, _require_size, adjacent, materialize, product_factors
 
 
 @dataclass(frozen=True)
@@ -38,37 +30,13 @@ class HamiltonianCycle:
         return len(self.vertices)
 
 
-def factor_cycle(label: str) -> FactorCycle:
-    """Deterministic Hamiltonian cycle of a factor graph (lexicographic DFS from 0)."""
-    bg = block_graph(label)
-    start = bg.nodes[0]
-    path = [start]
-    used = {start}
-
-    def extend() -> bool:
-        if len(path) == len(bg.nodes):
-            return path[0] in bg.adj[path[-1]]
-        for y in bg.adj[path[-1]]:
-            if y not in used:
-                path.append(y)
-                used.add(y)
-                if extend():
-                    return True
-                used.discard(y)
-                path.pop()
-        return False
-
-    found = extend()
-    assert found, f"factor graph {label} must be Hamiltonian"
-    return FactorCycle(label, tuple(path))
-
-
-def snake_product(outer: Sequence[int], inner: Sequence, combine=lambda g, h: (g, h)) -> list:
-    """Boustrophedon Hamiltonian cycle of the product of two cycles.
+def snake_product(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
+    """Boustrophedon Hamiltonian cycle of the product of two cycles placed on disjoint bits.
 
     Sweeps the inner cycle as a path at each outer node, alternating
     direction, stepping one outer edge between sweeps and closing through the
-    outer cycle's wrap-around edge.  Needs both cycle lengths even to close.
+    outer cycle's wrap-around edge; each vertex is the OR of its outer and
+    inner words.  Needs both cycle lengths even to close.
     """
     if len(inner) % 2:
         raise ConstructionError(f"inner cycle length {len(inner)} is odd; the sweep cannot close")
@@ -77,7 +45,7 @@ def snake_product(outer: Sequence[int], inner: Sequence, combine=lambda g, h: (g
     out = []
     for c, g in enumerate(outer):
         sweep = inner if c % 2 == 0 else reversed(inner)
-        out.extend(combine(g, h) for h in sweep)
+        out.extend(g | h for h in sweep)
     return out
 
 
@@ -89,40 +57,29 @@ def hamiltonian_cycle(kind: TopologyKind, dim: Dimension) -> HamiltonianCycle:
     """
     factors = product_factors(kind, dim)
     _require_size(kind, dim)
-    placed = [[set_block(0, j, b, dim) for b in factor_cycle(f.label).nodes] for j, f in enumerate(factors)]
-    cycle = reduce(lambda inner, outer: snake_product(outer, inner, combine=or_), placed)
+    placed = [[set_block(0, j, b, dim) for b in f.cycle] for j, f in enumerate(factors)]
+    cycle = reduce(lambda inner, outer: snake_product(outer, inner), placed)
     return HamiltonianCycle(kind, dim.n, tuple(cycle))
 
 
-@dataclass(frozen=True)
-class CycleCheck:
-    ok: bool
-    reason: str = ""
-    witness: tuple | None = None
-
-
-def validate_cycle(kind: TopologyKind, dim: Dimension, vertices: Sequence[VertexWord]) -> CycleCheck:
+def validate_cycle(kind: TopologyKind, dim: Dimension, vertices: Sequence[VertexWord]) -> Check:
     """Check a cyclic sequence is a Hamiltonian cycle of the given topology."""
     g = materialize(kind, dim.n)
     seen = set()
     for w in vertices:
         if w not in g.index:
-            return CycleCheck(False, "not a vertex of the topology", (w,))
+            return Check(False, "not a vertex of the topology", (w,))
         if w in seen:
-            return CycleCheck(False, "duplicate vertex", (w,))
+            return Check(False, "duplicate vertex", (w,))
         seen.add(w)
     if len(seen) != g.num_vertices:
         missing = next(w for w in g.words if w not in seen)
-        return CycleCheck(
-            False,
-            f"covers {len(seen)} of {g.num_vertices} vertices",
-            (missing,),
-        )
+        return Check(False, f"covers {len(seen)} of {g.num_vertices} vertices", (missing,))
     for i, w in enumerate(vertices):
         nxt = vertices[(i + 1) % len(vertices)]
         if not adjacent(kind, dim, w, nxt):
-            return CycleCheck(False, "consecutive vertices not adjacent", (w, nxt))
-    return CycleCheck(True)
+            return Check(False, "consecutive vertices not adjacent", (w, nxt))
+    return Check(True)
 
 
 _H1_TEXT = """

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError
+from .errors import Check, InvalidVertexError
 from .words import Dimension, VertexWord, block_width, blocks, get_block, set_block, pair1, pair2, make_block
 from .topology import TopologyKind, _require_valid, materialize, neighbor_sets
 
@@ -61,14 +61,7 @@ def apply_map(spec: AutomorphismSpec, w: VertexWord) -> VertexWord:
     return w
 
 
-@dataclass(frozen=True)
-class AutomorphismCheck:
-    ok: bool
-    reason: str = ""
-    witness: tuple | None = None  # an edge whose image is not an edge, if any
-
-
-def verify_automorphism(kind: TopologyKind, dim: Dimension, spec: AutomorphismSpec) -> AutomorphismCheck:
+def verify_automorphism(kind: TopologyKind, dim: Dimension, spec: AutomorphismSpec) -> Check:
     """Check bijectivity and edge preservation of a spec against the oracle.
 
     Exhaustive over the vertex and edge sets of the materialized graph, so it
@@ -79,13 +72,13 @@ def verify_automorphism(kind: TopologyKind, dim: Dimension, spec: AutomorphismSp
     for w in g.words:
         img = apply_map(spec, w)
         if img not in g.index:
-            return AutomorphismCheck(False, f"image {img:#x} of {w:#x} leaves the vertex set", (w, img))
+            return Check(False, f"image {img:#x} of {w:#x} leaves the vertex set", (w, img))
         images.append(g.index_of(img))
     if len(set(images)) != g.num_vertices:
-        return AutomorphismCheck(False, "map is not injective on the vertex set")
+        return Check(False, "map is not injective on the vertex set")
     nbr_sets = neighbor_sets(g)
     for i, j in g.edges():
         if images[j] not in nbr_sets[images[i]]:
             edge = (g.word_of(i), g.word_of(j))
-            return AutomorphismCheck(False, "edge image is not an edge", edge)
-    return AutomorphismCheck(True)
+            return Check(False, "edge image is not an edge", edge)
+    return Check(True)

@@ -17,8 +17,8 @@ vertices are tuples, not words, and `bh_neighbors` gives its edges.
 
 SSQ and BSQ are Cartesian products: `product_factors` gives each block its
 factor `BlockGraph` (the C4 tail, then k copies of B or D), and their vertex
-sets, neighbors and adjacency all read the factor tables.  SQ is not a
-product: the V-set of a block flip depends on the tail.
+sets, neighbors, adjacency and Hamiltonian cycles all read the factor tables.
+SQ is not a product: the V-set of a block flip depends on the tail.
 
 The tail semantics for SSQ and BSQ follow the cyclic order 00,01,10,11; for Q
 and SQ the tail is the Hamming-1 four-cycle.  Both are C4s, so no structural
@@ -63,13 +63,6 @@ V_SETS = (
     frozenset({0b1000, 0b1001, 0b1010, 0b1011}),
     frozenset({0b1100, 0b1101, 0b1110, 0b1111}),
 )
-
-
-def v_set(tag: int) -> frozenset[int]:
-    """The V-set row for a 2-bit tag."""
-    if not 0 <= tag < 4:
-        raise IndexError(f"V-set tag must be 0..3, got {tag}")
-    return V_SETS[tag]
 
 
 def is_valid_vertex(kind: TopologyKind, dim: Dimension, u: VertexWord) -> bool:
@@ -139,13 +132,14 @@ D_BSQ_LABEL = "D-bsq"
 
 @dataclass(frozen=True, eq=False)
 class BlockGraph:
-    """A per-block factor graph with BFS distance and next-hop tables."""
+    """A per-block factor graph: BFS distance and next-hop tables and a Hamiltonian cycle."""
 
     label: str
     nodes: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
     dist: dict[tuple[int, int], int]
     next_hop: dict[tuple[int, int], int] = field(repr=False)
+    cycle: tuple[int, ...] = field(repr=False)
 
     def distance(self, a: int, b: int) -> int:
         return self.dist[(a, b)]
@@ -156,7 +150,7 @@ class BlockGraph:
 
 
 def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
-    """BFS tables of a factor whose node a has the neighbors moves(a), in that order."""
+    """The tables of a factor whose node a has the neighbors moves(a), in that order."""
     nodes = tuple(sorted(nodes))
     listed = {a: tuple(moves(a)) for a in nodes}
     adj = {a: tuple(sorted(listed[a])) for a in nodes}
@@ -177,7 +171,26 @@ def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
         for dst in nodes:
             if src != dst:
                 next_hop[(src, dst)] = next(w for w in listed[src] if dist[(w, dst)] == dist[(src, dst)] - 1)
-    return BlockGraph(label, nodes, adj, dist, next_hop)
+    path = [nodes[0]]
+    used = {nodes[0]}
+
+    def extend() -> bool:
+        """Lexicographic DFS from the smallest node; the first Hamiltonian cycle it closes is the factor's."""
+        if len(path) == len(nodes):
+            return path[0] in adj[path[-1]]
+        for y in adj[path[-1]]:
+            if y not in used:
+                path.append(y)
+                used.add(y)
+                if extend():
+                    return True
+                used.discard(y)
+                path.pop()
+        return False
+
+    found = extend()
+    assert found, f"factor graph {label} must be Hamiltonian"
+    return BlockGraph(label, nodes, adj, dist, next_hop, tuple(path))
 
 
 def _d_moves(b: int) -> list[int]:
@@ -200,18 +213,13 @@ def block_graph(label: str) -> BlockGraph:
     raise ValueError(f"unknown block graph label {label!r}")
 
 
-def block_graph_for(kind: TopologyKind) -> BlockGraph:
-    if kind is TopologyKind.SSQ:
-        return block_graph(B_SSQ_LABEL)
-    if kind is TopologyKind.BSQ:
-        return block_graph(D_BSQ_LABEL)
-    raise ValueError(f"only SSQ and BSQ are block products, not {kind.value}")
-
-
 @lru_cache(maxsize=None)
 def product_factors(kind: TopologyKind, dim: Dimension) -> tuple[BlockGraph, ...]:
     """The factor of each block of SSQ_n = B^k □ C4 or BSQ_n = D^k □ C4: the C4 tail, then blocks 1..k."""
-    return (block_graph(C4_LABEL),) + (block_graph_for(kind),) * dim.k
+    labels = {TopologyKind.SSQ: B_SSQ_LABEL, TopologyKind.BSQ: D_BSQ_LABEL}
+    if kind not in labels:
+        raise ValueError(f"only SSQ and BSQ are block products, not {kind.value}")
+    return (block_graph(C4_LABEL),) + (block_graph(labels[kind]),) * dim.k
 
 
 @lru_cache(maxsize=None)

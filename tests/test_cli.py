@@ -1,4 +1,5 @@
 """Command-line interface and scripts: formats, exit codes, determinism."""
+import hashlib
 import json
 import os
 import pathlib
@@ -84,6 +85,17 @@ class TestAnalyze:
         assert code == 2
         assert "rainbow" in err
 
+    def test_unknown_check_reported_before_the_graph_is_built(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--kind", "q", "--n", "22", "--checks=bogus")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("unknown check 'bogus'; valid checks: ")
+
+    def test_bad_dimension_reported_before_unknown_check(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--kind", "ssq", "--n", "7", "--checks=bogus")
+        assert code == 2
+        assert err.startswith("error: ") and "bogus" not in err
+
 
 class TestRoute:
     def test_ssq_path(self, capsys):
@@ -153,6 +165,14 @@ EMITTED_N6 = {
 }
 
 
+# SHA-256 of the emitted n = 10 cycles (256 and 1024 lines): the exact order
+# of the snake fold over the factor cycles.
+EMITTED_N10_SHA256 = {
+    "ssq": "dea623289e383e8d2554b92a5f77604b814df6b089dc3fb4a1c1188fc9a69946",
+    "bsq": "7149aadb40b7990e6c51dab9262c3d3e2778032bbffda05c6e3c63d54e84e1f2",
+}
+
+
 class TestHamiltonian:
     def test_emit_fixture(self, capsys):
         code, out, _ = run_cli(
@@ -167,6 +187,12 @@ class TestHamiltonian:
         code, out, _ = run_cli(capsys, "hamiltonian", "emit", "--kind", "bsq", "--n", "10")
         assert code == 0
         assert len(out.splitlines()) == 1024
+
+    @pytest.mark.parametrize("kind,digest", list(EMITTED_N10_SHA256.items()))
+    def test_emit_generated_n10_digest(self, capsys, kind, digest):
+        code, out, _ = run_cli(capsys, "hamiltonian", "emit", "--kind", kind, "--n", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", ["ssq", "bsq"])
     def test_emit_generated_n6_word_for_word(self, capsys, kind):
@@ -335,6 +361,7 @@ CONTRACT = [
     ("route --kind ssq --n 6 --from 00000x --to 000000", 2),
     ("route --kind ssq --n 6 --from 010000 --to 000000", 2),
     ("route --kind ssq --n -2 --from 00 --to 00", 2),
+    ("route --kind ssq --n 6 --from 000000 --to 000000 --skip-check", 2),
     ("route --kind bsq --n 22 --from " + "0" * 22 + " --to " + "1" * 22, 0),
     ("hamiltonian emit --kind ssq --n 6", 0),
     ("hamiltonian emit --kind xyz --n 6", 2),

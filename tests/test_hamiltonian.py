@@ -1,4 +1,4 @@
-"""Factor cycles, snake products, generated cycles and the two fixtures."""
+"""Factor cycles (BlockGraph.cycle), snake products, generated cycles and the two fixtures."""
 import pytest
 
 from shufflecube import (
@@ -10,7 +10,6 @@ from shufflecube import (
     ResourceLimitError,
     TopologyKind,
     block_graph,
-    factor_cycle,
     fixture_h1,
     fixture_h2,
     hamiltonian_cycle,
@@ -24,46 +23,47 @@ D6 = Dimension(6)
 
 
 def assert_factor_cycle_valid(label):
-    cyc = factor_cycle(label)
     bg = block_graph(label)
-    assert sorted(cyc.nodes) == list(bg.nodes)
-    for i, a in enumerate(cyc.nodes):
-        assert cyc.nodes[(i + 1) % len(cyc.nodes)] in bg.adj[a]
+    assert sorted(bg.cycle) == list(bg.nodes)
+    for i, a in enumerate(bg.cycle):
+        assert bg.cycle[(i + 1) % len(bg.cycle)] in bg.adj[a]
 
 
 class TestFactorCycles:
     def test_c4_is_the_cycle_itself(self):
-        assert factor_cycle(C4_LABEL).nodes == (0, 1, 2, 3)
+        assert block_graph(C4_LABEL).cycle == (0, 1, 2, 3)
 
     def test_b_ssq_deterministic_cycle(self):
-        cyc = factor_cycle(B_SSQ_LABEL)
-        assert cyc.nodes == (0b0000, 0b0001, 0b0010, 0b0011, 0b1100, 0b1101, 0b1110, 0b1111)
+        assert block_graph(B_SSQ_LABEL).cycle == (
+            0b0000, 0b0001, 0b0010, 0b0011, 0b1100, 0b1101, 0b1110, 0b1111,
+        )
         assert_factor_cycle_valid(B_SSQ_LABEL)
 
     def test_d_bsq_cycle_valid_and_deterministic(self):
+        assert block_graph(D_BSQ_LABEL).cycle == (0, 4, 3, 7, 2, 6, 1, 5, 8, 12, 11, 15, 10, 14, 9, 13)
         assert_factor_cycle_valid(D_BSQ_LABEL)
-        assert factor_cycle(D_BSQ_LABEL).nodes[0] == 0
-        assert factor_cycle(D_BSQ_LABEL) == factor_cycle(D_BSQ_LABEL)
 
 
 class TestSnakeProduct:
     def test_c4_times_c4_torus(self):
-        cyc = snake_product((0, 1, 2, 3), (0, 1, 2, 3))
+        cyc = snake_product((0, 4, 8, 12), (0, 1, 2, 3))
         assert len(cyc) == 16 and len(set(cyc)) == 16
-        for i, (a0, b0) in enumerate(cyc):
-            a1, b1 = cyc[(i + 1) % 16]
-            da, db = (a1 - a0) % 4, (b1 - b0) % 4
+        for i, w in enumerate(cyc):
+            nxt = cyc[(i + 1) % 16]
+            da, db = ((nxt >> 2) - (w >> 2)) % 4, ((nxt & 3) - (w & 3)) % 4
             assert (da in (1, 3) and db == 0) or (da == 0 and db in (1, 3))
 
     def test_b_times_c4_is_ssq6(self):
-        cyc = snake_product(
-            factor_cycle(B_SSQ_LABEL).nodes, (0, 1, 2, 3), combine=lambda g, h: (g << 2) | h
-        )
+        cyc = snake_product([b << 2 for b in block_graph(B_SSQ_LABEL).cycle], (0, 1, 2, 3))
         assert validate_cycle(TopologyKind.SSQ, D6, cyc).ok
 
     def test_odd_inner_length_cannot_close(self):
         with pytest.raises(ConstructionError, match="odd"):
-            snake_product((0, 1, 2, 3), (0, 1, 2))
+            snake_product((0, 4, 8, 12), (0, 1, 2))
+
+    def test_odd_outer_length_cannot_close(self):
+        with pytest.raises(ConstructionError, match="outer"):
+            snake_product((0, 4, 8), (0, 1, 2, 3))
 
 
 class TestGeneratedCycles:

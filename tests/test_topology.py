@@ -12,6 +12,7 @@ from shufflecube import (
     InvalidVertexError,
     ResourceLimitError,
     TopologyKind,
+    V_SETS,
     adjacent,
     bh_neighbors,
     block_graph,
@@ -25,7 +26,6 @@ from shufflecube import (
     pair2,
     parse_vertex,
     product_factors,
-    v_set,
 )
 from shufflecube.analysis import _cliques
 from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
@@ -41,11 +41,11 @@ RECURSIVE = {
 
 
 def test_v_set_rows_verbatim():
-    assert v_set(0b00) == {0b1111, 0b0001, 0b0010, 0b0011}
-    assert v_set(0b01) == {0b0100, 0b0101, 0b0110, 0b0111}
-    assert v_set(0b10) == {0b1000, 0b1001, 0b1010, 0b1011}
-    assert v_set(0b11) == {0b1100, 0b1101, 0b1110, 0b1111}
-    assert all(0 not in v_set(t) and len(v_set(t)) == 4 for t in range(4))
+    assert V_SETS[0b00] == {0b1111, 0b0001, 0b0010, 0b0011}
+    assert V_SETS[0b01] == {0b0100, 0b0101, 0b0110, 0b0111}
+    assert V_SETS[0b10] == {0b1000, 0b1001, 0b1010, 0b1011}
+    assert V_SETS[0b11] == {0b1100, 0b1101, 0b1110, 0b1111}
+    assert all(0 not in V_SETS[t] and len(V_SETS[t]) == 4 for t in range(4))
 
 
 class TestAdjacent:
@@ -254,8 +254,9 @@ class TestProductFactors:
         assert product_factors(TopologyKind.BSQ, Dimension(2)) == (c4,)
 
     def test_sq_is_not_a_product(self):
-        with pytest.raises(ValueError):
-            product_factors(TopologyKind.SQ, D6)
+        for kind in (TopologyKind.Q, TopologyKind.SQ):
+            with pytest.raises(ValueError, match=f"only SSQ and BSQ are block products, not {kind.value}"):
+                product_factors(kind, D6)
 
     def test_vertex_count_is_the_product_of_factor_sizes(self):
         for kind in (TopologyKind.SSQ, TopologyKind.BSQ):
