@@ -73,6 +73,7 @@ from .symmetry import (
     build_phi,
     build_psi,
     verify_automorphism,
+    verify_factor_automorphism,
 )
 from .routing import (
     diameter_formula,

@@ -56,27 +56,37 @@ class DiameterResult:
     method: str  # "exhaustive" | "vertex-transitive" | "sampled-lower-bound"
 
 
+def _scans_vertex_zero(g: CubeGraph) -> bool:
+    """Whether girth and diameter may scan from the zero vertex alone: SSQ and BSQ above n = 10.
+
+    Exact because the claims suite's maps records prove both graphs
+    vertex-transitive, so every vertex sees the same distances and lies on a
+    shortest cycle.  At n <= 10 the exhaustive scans stay as the cross-check.
+    """
+    return g.kind in (TopologyKind.SSQ, TopologyKind.BSQ) and g.n > 10
+
+
 def diameter(g: CubeGraph, sample_sources: int = 64) -> DiameterResult:
     """Graph diameter.
 
-    Full all-sources scan up to 2^12 vertices.  Above that, SSQ and BSQ use
-    the eccentricity of the zero vertex (exact by vertex-transitivity); other
-    kinds report a sampled lower bound, labeled as such.
+    SSQ and BSQ above n = 10 use the eccentricity of the zero vertex (exact
+    by vertex-transitivity).  Otherwise a full all-sources scan up to 2^12
+    vertices; above that, a sampled lower bound, labeled as such.
     """
+    if _scans_vertex_zero(g):
+        return DiameterResult(eccentricity(g, g.index_of(0)), "vertex-transitive")
     if g.num_vertices <= FULL_SCAN_CAP:
         return DiameterResult(max(eccentricity(g, s) for s in range(g.num_vertices)), "exhaustive")
-    if g.kind in (TopologyKind.SSQ, TopologyKind.BSQ):
-        return DiameterResult(eccentricity(g, g.index_of(0)), "vertex-transitive")
     step = max(1, g.num_vertices // sample_sources)
     value = max(eccentricity(g, s) for s in range(0, g.num_vertices, step))
     return DiameterResult(value, "sampled-lower-bound")
 
 
 def girth(g: CubeGraph):
-    """Length of the shortest cycle (BFS from every vertex); inf for forests."""
+    """Length of the shortest cycle (BFS from every vertex, or the zero vertex alone); inf for forests."""
     best = float("inf")
     n = g.num_vertices
-    for s in range(n):
+    for s in [g.index_of(0)] if _scans_vertex_zero(g) else range(n):
         dist = [-1] * n
         parent = [-1] * n
         dist[s] = 0

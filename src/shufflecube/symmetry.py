@@ -6,16 +6,17 @@ XORs every block by the matching block of u ^ v.  psi rotates the tail and
 acts on each 4-bit block as a mod-4 translation (pair1 and pair2 shifted) or
 reflection (both negated after an offset).  Translations need an even pair1
 offset and reflections an odd one to commute with the block adjacency rule;
-`_psi_block` guarantees that, and verify_automorphism checks any spec against
-the edge oracle regardless of how it was made.
+`_psi_block` guarantees that.  Two checks take any spec, however it was made:
+verify_factor_automorphism reads each table against its factor, and
+verify_automorphism, its whole-graph oracle, walks every vertex and edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import Check, InvalidVertexError
-from .words import Dimension, VertexWord, block_width, blocks, get_block, set_block, pair1, pair2, make_block
-from .topology import TopologyKind, _require_valid, materialize, neighbor_sets
+from .words import Dimension, VertexWord, block_width, blocks, get_block, pair1, pair2, make_block
+from .topology import TopologyKind, _require_valid, materialize, neighbor_sets, product_factors
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,16 @@ class AutomorphismSpec:
 
     dim: Dimension
     images: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.images) != self.dim.k + 1:
+            raise ValueError(f"expected {self.dim.k + 1} block tables for n = {self.dim.n}, got {len(self.images)}")
+        for j, image in enumerate(self.images):
+            size = 1 << block_width(j)
+            if len(image) != size:
+                raise ValueError(f"block {j} table must have {size} entries, got {len(image)}")
+            if min(image) < 0 or max(image) >= size:
+                raise ValueError(f"block {j} table entries must fit in {block_width(j)} bits, got {image}")
 
 
 def build_phi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
@@ -52,13 +63,38 @@ def build_psi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
 
 
 def apply_map(spec: AutomorphismSpec, w: VertexWord) -> VertexWord:
-    """Apply a blockwise map to one vertex word."""
-    dim = spec.dim
-    if not 0 <= w <= dim.mask:
-        raise InvalidVertexError(f"word {w:#x} does not fit in {dim.n} bits")
-    for j, image in enumerate(spec.images):
-        w = set_block(w, j, image[get_block(w, j, dim)], dim)
-    return w
+    """Apply a blockwise map to one vertex word: the tail by its table, then block j at bit 4j-2."""
+    if not 0 <= w <= spec.dim.mask:
+        raise InvalidVertexError(f"word {w:#x} does not fit in {spec.dim.n} bits")
+    images = spec.images
+    out = images[0][w & 3]
+    for j in range(1, len(images)):
+        shift = 4 * j - 2
+        out |= images[j][(w >> shift) & 15] << shift
+    return out
+
+
+def verify_factor_automorphism(kind: TopologyKind, spec: AutomorphismSpec) -> Check:
+    """Check a spec of SSQ or BSQ one block at a time against its factor.
+
+    A map that acts block by block is an automorphism of F_0 □ F_1 □ … □ F_k
+    iff each block's map is an automorphism of its factor F_j (Imrich and
+    Klavžar, Handbook of Product Graphs): every product edge changes exactly
+    one block, so the map preserves the edges of block j exactly when the
+    table of block j preserves the edges of F_j.  Each table must therefore
+    be a bijection of its factor's nodes that sends every factor edge to an
+    edge; that costs O(k·|E(F)|), where verify_automorphism costs O(|E(G)|).
+    The witness of a failed edge is (j, a, b).
+    """
+    for j, (factor, image) in enumerate(zip(product_factors(kind, spec.dim), spec.images)):
+        if sorted(image[a] for a in factor.nodes) != list(factor.nodes):
+            return Check(False, f"block {j} table is not a bijection of its factor's nodes")
+        for a in factor.nodes:
+            targets = factor.adj[image[a]]
+            for b in factor.adj[a]:
+                if image[b] not in targets:
+                    return Check(False, f"block {j} table sends a factor edge to a non-edge", (j, a, b))
+    return Check(True)
 
 
 def verify_automorphism(kind: TopologyKind, dim: Dimension, spec: AutomorphismSpec) -> Check:
@@ -71,14 +107,19 @@ def verify_automorphism(kind: TopologyKind, dim: Dimension, spec: AutomorphismSp
     images = []
     for w in g.words:
         img = apply_map(spec, w)
-        if img not in g.index:
+        i = g.index.get(img)
+        if i is None:
             return Check(False, f"image {img:#x} of {w:#x} leaves the vertex set", (w, img))
-        images.append(g.index_of(img))
+        images.append(i)
     if len(set(images)) != g.num_vertices:
         return Check(False, "map is not injective on the vertex set")
     nbr_sets = neighbor_sets(g)
-    for i, j in g.edges():
-        if images[j] not in nbr_sets[images[i]]:
-            edge = (g.word_of(i), g.word_of(j))
-            return Check(False, "edge image is not an edge", edge)
+    image_of = images.__getitem__
+    for i, row in enumerate(g.nbrs):
+        targets = nbr_sets[images[i]]
+        if not targets.issuperset(map(image_of, row)):
+            # rows ascend and edges are symmetric, so the first failing row's
+            # first failing entry is the first failing edge (i, j) with i < j
+            j = next(j for j in row if images[j] not in targets)
+            return Check(False, "edge image is not an edge", (g.word_of(i), g.word_of(j)))
     return Check(True)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from shufflecube import analysis
 from shufflecube import (
     CubeGraph,
     Dimension,
@@ -77,6 +78,24 @@ class TestDistances:
         sampled = diameter(big_sq, sample_sources=4)
         assert sampled.method == "sampled-lower-bound"
         assert sampled.value >= 3
+
+    def test_ssq_and_bsq_above_n10_scan_from_vertex_zero(self):
+        ssq14 = materialize(TopologyKind.SSQ, 14)
+        assert ssq14.num_vertices <= analysis.FULL_SCAN_CAP
+        assert (diameter(ssq14).value, diameter(ssq14).method) == (8, "vertex-transitive")
+        assert girth(ssq14) == 3
+        assert girth(materialize(TopologyKind.BSQ, 14)) == 4
+
+    @pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_vertex_zero_scan_matches_exhaustive_scan(self, monkeypatch, kind, n):
+        g = materialize(kind, n)
+        exhaustive = (diameter(g), girth(g))
+        assert exhaustive[0].method == "exhaustive"
+        monkeypatch.setattr(analysis, "_scans_vertex_zero", lambda graph: True)
+        from_zero = (diameter(g), girth(g))
+        assert from_zero[0].method == "vertex-transitive"
+        assert from_zero[0].value == exhaustive[0].value and from_zero[1] == exhaustive[1]
 
 
 class TestGirth:

@@ -3,7 +3,8 @@
 n in {2, 6} is checked exhaustively elsewhere.  Here adjacency, neighbour
 lists, blockwise distances and routed paths of the 10-bit graphs are compared
 with `tests/oracles.py`: the recursive adjacency and validity rules, and a
-BFS over neighbour rows built from the recursive adjacency alone.
+BFS over neighbour rows built from the recursive adjacency alone.  The
+shift-and-mask `apply_map` is compared with a block-by-block fold.
 """
 from functools import lru_cache
 
@@ -11,14 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shufflecube import (
+    AutomorphismSpec,
     Dimension,
     InvalidVertexError,
     TopologyKind,
     adjacent,
+    apply_map,
     distance_of,
+    get_block,
     neighbors,
     route_bsq,
     route_ssq,
+    set_block,
 )
 from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
 
@@ -90,3 +95,22 @@ def test_distance_and_route(kind, data):
     path = ROUTE[kind](D10, u, v)
     assert (path[0], path[-1], len(path) - 1) == (u, v, dist)
     assert all(rec(N, a, b) for a, b in zip(path, path[1:]))
+
+
+def fold_apply(spec, w):
+    """apply_map's reference: replace each block, tail first, through get_block/set_block."""
+    for j, image in enumerate(spec.images):
+        w = set_block(w, j, image[get_block(w, j, D10)], D10)
+    return w
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_apply_map(data):
+    tables = tuple(
+        tuple(data.draw(st.lists(st.integers(0, width - 1), min_size=width, max_size=width)))
+        for width in [4] + [16] * D10.k
+    )
+    spec = AutomorphismSpec(D10, tables)
+    w = data.draw(st.integers(0, D10.mask))
+    assert apply_map(spec, w) == fold_apply(spec, w)

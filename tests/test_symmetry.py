@@ -21,7 +21,9 @@ from shufflecube import (
     parse_vertex,
     product_factors,
     verify_automorphism,
+    verify_factor_automorphism,
 )
+from shufflecube.claims import _map_sample
 
 D6 = Dimension(6)
 D10 = Dimension(10)
@@ -39,14 +41,6 @@ def xor_spec(dim, offsets):
 def offsets(spec):
     """The per-block XOR offsets of a phi spec: the image of block value 0."""
     return tuple(t[0] for t in spec.images)
-
-
-def assert_blocks_are_factor_automorphisms(kind, spec):
-    """Each block's image table, restricted to its factor, is a bijection that maps edges to edges."""
-    for factor, image in zip(product_factors(kind, spec.dim), spec.images, strict=True):
-        assert sorted(image[a] for a in factor.nodes) == list(factor.nodes)
-        for a in factor.nodes:
-            assert all(image[b] in factor.adj[image[a]] for b in factor.adj[a])
 
 
 class TestPhi:
@@ -78,7 +72,7 @@ class TestPhi:
         words = ssq_words(6)
         for u in words:
             for v in words:
-                assert_blocks_are_factor_automorphisms(TopologyKind.SSQ, build_phi(u, v, D6))
+                assert verify_factor_automorphism(TopologyKind.SSQ, build_phi(u, v, D6)).ok
 
     def test_rejects_invalid_vertices(self):
         with pytest.raises(InvalidVertexError):
@@ -131,7 +125,7 @@ class TestPsi:
         # table is then an automorphism of its factor (C4 or D), for all pairs
         for u in range(64):
             for v in range(64):
-                assert_blocks_are_factor_automorphisms(TopologyKind.BSQ, build_psi(u, v, D6))
+                assert verify_factor_automorphism(TopologyKind.BSQ, build_psi(u, v, D6)).ok
 
     def test_sends_v_to_u_all_pairs_n6(self):
         for u in range(64):
@@ -185,6 +179,101 @@ class TestVerification:
             spec = build(u, v, D10)
             assert apply_map(spec, v) == u
             assert verify_automorphism(kind, D10, spec).ok
+
+
+BUILD = {TopologyKind.SSQ: build_phi, TopologyKind.BSQ: build_psi}
+
+
+def identity_tables(dim):
+    return tuple(tuple(range(4 if j == 0 else 16)) for j in range(dim.k + 1))
+
+
+def with_table(dim, j, table):
+    """The identity spec with block j's table replaced."""
+    images = list(identity_tables(dim))
+    images[j] = tuple(table)
+    return AutomorphismSpec(dim, tuple(images))
+
+
+def translate(alpha, beta):
+    return tuple(make_block(pair1(b) + alpha, pair2(b) + beta) for b in range(16))
+
+
+def reflect(alpha, beta):
+    return tuple(make_block(alpha - pair1(b), beta - pair2(b)) for b in range(16))
+
+
+def corrupted_specs(dim):
+    """(name, kind, spec) for specs that are not automorphisms, each wrong in one block."""
+    # psi reflects block 1 for 0000 <- 0100 (odd pair1 offset) and translates it for 0000 <- 1000
+    return [
+        ("odd-alpha-translate", TopologyKind.BSQ, with_table(dim, 1, translate(1, 0))),
+        ("translate-where-psi-reflects", TopologyKind.BSQ, with_table(dim, 1, translate(-1, 0))),
+        ("reflect-where-psi-translates", TopologyKind.BSQ, with_table(dim, 1, reflect(-2, 0))),
+        ("non-bijective-xor", TopologyKind.SSQ, xor_spec(dim, (0, 0b0100) + (0,) * (dim.k - 1))),
+        ("c4-swap-01-ssq", TopologyKind.SSQ, with_table(dim, 0, (1, 0, 2, 3))),
+        ("c4-swap-01-bsq", TopologyKind.BSQ, with_table(dim, 0, (1, 0, 2, 3))),
+    ]
+
+
+class TestFactorCheck:
+    """verify_factor_automorphism against the whole-graph oracle verify_automorphism."""
+
+    @pytest.mark.parametrize("kind", list(BUILD))
+    def test_agrees_with_whole_graph_all_pairs_n6(self, kind):
+        words = materialize(kind, 6).words
+        for u in words:
+            for v in words:
+                spec = BUILD[kind](u, v, D6)
+                assert verify_factor_automorphism(kind, spec).ok == verify_automorphism(kind, D6, spec).ok
+
+    @pytest.mark.parametrize("kind", list(BUILD))
+    def test_agrees_with_whole_graph_on_claims_sample_n10(self, kind):
+        pairs = _map_sample(materialize(kind, 10))
+        assert len(pairs) == 200
+        for u, v in pairs:
+            spec = BUILD[kind](u, v, D10)
+            assert verify_factor_automorphism(kind, spec).ok == verify_automorphism(kind, D10, spec).ok
+
+    def test_psi_modes_of_the_corrupted_cases(self):
+        assert build_psi(0, 0b010000, D6).images[1] == reflect(1, 0)
+        assert build_psi(0, 0b100000, D6).images[1] == translate(-2, 0)
+
+    @pytest.mark.parametrize("dim", [D6, D10], ids=["n6", "n10"])
+    @pytest.mark.parametrize("case", range(6), ids=[name for name, _, _ in corrupted_specs(D6)])
+    def test_corrupted_specs_fail_both_checks(self, dim, case):
+        _, kind, spec = corrupted_specs(dim)[case]
+        assert not verify_factor_automorphism(kind, spec).ok
+        assert not verify_automorphism(kind, dim, spec).ok
+
+    def test_edge_witness_is_a_factor_edge_sent_to_a_non_edge(self):
+        spec = with_table(D10, 1, translate(1, 0))
+        check = verify_factor_automorphism(TopologyKind.BSQ, spec)
+        j, a, b = check.witness
+        image, factor = spec.images[j], product_factors(TopologyKind.BSQ, D10)[j]
+        assert j == 1 and b in factor.adj[a]
+        assert image[b] not in factor.adj[image[a]]
+
+    def test_non_bijection_has_a_reason(self):
+        check = verify_factor_automorphism(TopologyKind.SSQ, xor_spec(D6, (0, 0b0100)))
+        assert "block 1" in check.reason and check.witness is None
+
+
+class TestSpecValidation:
+    def test_rejects_missing_table(self):
+        with pytest.raises(ValueError, match="block tables"):
+            AutomorphismSpec(D10, identity_tables(D10)[:-1])
+
+    @pytest.mark.parametrize("j, size", [(0, 3), (0, 16), (1, 4), (2, 15)])
+    def test_rejects_wrong_table_size(self, j, size):
+        with pytest.raises(ValueError, match="entries"):
+            with_table(D10, j, range(size))
+
+    @pytest.mark.parametrize("j, entry", [(0, 4), (0, -1), (1, 16), (2, 31)])
+    def test_rejects_entry_wider_than_its_block(self, j, entry):
+        table = [entry] + list(range(1, 4 if j == 0 else 16))
+        with pytest.raises(ValueError, match="fit in"):
+            with_table(D10, j, table)
 
 
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
