@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import Check, ConstructionError
 from .words import Dimension, VertexWord, set_block
-from .topology import TopologyKind, _require_size, adjacent, materialize, product_factors
+from .topology import TopologyKind, _require_size, materialize, product_factors
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def hamiltonian_cycle(kind: TopologyKind, dim: Dimension) -> HamiltonianCycle:
 
 
 def validate_cycle(kind: TopologyKind, dim: Dimension, vertices: Sequence[VertexWord]) -> Check:
-    """Check a cyclic sequence is a Hamiltonian cycle of the given topology."""
+    """Check a cyclic sequence is a Hamiltonian cycle of the given topology, reading its materialized rows."""
     g = materialize(kind, dim.n)
     seen = set()
     for w in vertices:
@@ -75,9 +75,10 @@ def validate_cycle(kind: TopologyKind, dim: Dimension, vertices: Sequence[Vertex
     if len(seen) != g.num_vertices:
         missing = next(w for w in g.words if w not in seen)
         return Check(False, f"covers {len(seen)} of {g.num_vertices} vertices", (missing,))
+    index, nbrs = g.index, g.nbrs
     for i, w in enumerate(vertices):
         nxt = vertices[(i + 1) % len(vertices)]
-        if not adjacent(kind, dim, w, nxt):
+        if index[nxt] not in nbrs[index[w]]:
             return Check(False, "consecutive vertices not adjacent", (w, nxt))
     return Check(True)
 

@@ -18,7 +18,9 @@ vertices are tuples, not words, and `bh_neighbors` gives its edges.
 SSQ and BSQ are Cartesian products: `product_factors` gives each block its
 factor `BlockGraph` (the C4 tail, then k copies of B or D), and their vertex
 sets, neighbors, adjacency and Hamiltonian cycles all read the factor tables.
-SQ is not a product: the V-set of a block flip depends on the tail.
+`materialize` builds their adjacency rows in one product pass over those
+tables; `neighbors` stays the point query.  SQ is not a product: the V-set of
+a block flip depends on the tail, so Q and SQ rows come from `neighbors`.
 
 The tail semantics for SSQ and BSQ follow the cyclic order 00,01,10,11; for Q
 and SQ the tail is the Hamming-1 four-cycle.  Both are C4s, so no structural
@@ -287,14 +289,51 @@ def _require_size(kind: TopologyKind, dim: Dimension) -> int:
 
 @lru_cache(maxsize=3)
 def materialize(kind: TopologyKind, n: int) -> CubeGraph:
-    """Build the full graph for a kind at dimension n (vertex cap 2^20); one n's SQ, SSQ and BSQ stay cached."""
+    """Build the full graph for a kind at dimension n (vertex cap 2^20); one n's SQ, SSQ and BSQ stay cached.
+
+    SSQ and BSQ rows come from one product pass over `product_factors`
+    (`_product_rows`); Q and SQ rows from `neighbors`, one vertex at a time.
+    """
     dim = Dimension(n)
     count = _require_size(kind, dim)
     words = tuple(range(count)) if count == 1 << n else _product_words(product_factors(kind, dim), dim)
     index = {u: i for i, u in enumerate(words)}
-    nbrs = tuple(tuple(index[v] for v in neighbors(kind, dim, u)) for u in words)
+    if kind in (TopologyKind.Q, TopologyKind.SQ):
+        nbrs = tuple(tuple(index[v] for v in neighbors(kind, dim, u)) for u in words)
+    else:
+        nbrs = _product_rows(product_factors(kind, dim), index)
     edge_count = sum(len(row) for row in nbrs) // 2
     return CubeGraph(kind, n, words, index, nbrs, edge_count)
+
+
+def _product_rows(factors, index: dict[VertexWord, int]) -> tuple[tuple[int, ...], ...]:
+    """The ascending neighbor rows of the product of factors, in the order of `_product_words`.
+
+    Dense indices are mixed-radix, the tail the lowest digit: the index of a
+    word is the sum over j of rank_j(block j) * stride_j.  One pass per factor
+    extends the rows of blocks 0..j-1 (S of them): the row of old vertex i at
+    rank r of factor j lists the moves in block j to ranks c < r (c*S + i),
+    then the old row shifted to r*S, then the moves to ranks c > r, so every
+    row comes out ascending.  Entries are the index's own int objects, so the
+    rows share them instead of holding one fresh int per entry.
+    """
+    ids = tuple(index.values())
+    rows: list[tuple[int, ...]] = [()]
+    for f in factors:
+        size = len(rows)
+        rank = {b: r for r, b in enumerate(f.nodes)}
+        extended = []
+        for r, b in enumerate(f.nodes):
+            base = r * size
+            moves = [rank[c] * size for c in f.adj[b]]
+            below = [m for m in moves if m < base]
+            above = [m for m in moves if m > base]
+            extended.extend(
+                tuple([ids[m + i] for m in below] + [ids[base + x] for x in row] + [ids[m + i] for m in above])
+                for i, row in enumerate(rows)
+            )
+        rows = extended
+    return tuple(rows)
 
 
 def _product_words(factors, dim: Dimension) -> tuple[VertexWord, ...]:

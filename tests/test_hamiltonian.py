@@ -1,4 +1,6 @@
 """Factor cycles (BlockGraph.cycle), snake products, generated cycles and the two fixtures."""
+from itertools import count
+
 import pytest
 
 from shufflecube import (
@@ -9,6 +11,7 @@ from shufflecube import (
     Dimension,
     ResourceLimitError,
     TopologyKind,
+    adjacent,
     block_graph,
     fixture_h1,
     fixture_h2,
@@ -149,3 +152,48 @@ class TestValidator:
         check = validate_cycle(TopologyKind.SSQ, D6, (0b010000,))
         assert not check.ok
         assert check.reason == "not a vertex of the topology"
+
+
+def adjacent_fold(kind, dim, vertices):
+    """validate_cycle's verdict with every consecutive pair asked of the point oracle `adjacent`."""
+    valid = set(materialize(kind, dim.n).words)
+    seen = set()
+    for w in vertices:
+        if w not in valid:
+            return (False, "not a vertex of the topology", (w,))
+        if w in seen:
+            return (False, "duplicate vertex", (w,))
+        seen.add(w)
+    if len(seen) != len(valid):
+        return (False, f"covers {len(seen)} of {len(valid)} vertices", (min(valid - seen),))
+    for i, w in enumerate(vertices):
+        nxt = vertices[(i + 1) % len(vertices)]
+        if not adjacent(kind, dim, w, nxt):
+            return (False, "consecutive vertices not adjacent", (w, nxt))
+    return (True, "", None)
+
+
+class TestValidatorMatchesAdjacentFold:
+    @staticmethod
+    def inputs(kind, dim):
+        """The built cycle (BSQ's for SQ, which has no constructor), its reversal and three corruptions."""
+        cycle = list(hamiltonian_cycle(TopologyKind.BSQ if kind is TopologyKind.SQ else kind, dim).vertices)
+        j = next(j for j in range(len(cycle) // 2, len(cycle)) if not adjacent(kind, dim, cycle[0], cycle[j]))
+        swapped = list(cycle)
+        swapped[0], swapped[j] = cycle[j], cycle[0]
+        alien = next(w for w in count() if w not in materialize(kind, dim.n).index)
+        return {
+            "built": cycle,
+            "reversed": cycle[::-1],
+            "swapped": swapped,
+            "alien": cycle[:5] + [alien] + cycle[5:],
+            "duplicate": cycle[:5] + [cycle[2]] + cycle[5:],
+        }
+
+    @pytest.mark.parametrize("kind", [TopologyKind.SQ, TopologyKind.SSQ, TopologyKind.BSQ])
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_same_verdict_reason_and_witness(self, kind, n):
+        dim = Dimension(n)
+        for name, vertices in self.inputs(kind, dim).items():
+            check = validate_cycle(kind, dim, vertices)
+            assert (check.ok, check.reason, check.witness) == adjacent_fold(kind, dim, vertices), name

@@ -232,6 +232,29 @@ class TestMaterialize:
         for i, u in enumerate(g.words):
             assert [g.words[j] for j in g.nbrs[i]] == [v for v in g.words if rec(n, u, v)]
 
+    @pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
+    @pytest.mark.parametrize("n", [2, 6, 10, 14])
+    def test_product_rows_match_neighbors(self, kind, n):
+        dim = Dimension(n)
+        g = materialize(kind, n)
+        for i, u in enumerate(g.words):
+            assert list(g.nbrs[i]) == [g.index[v] for v in neighbors(kind, dim, u)]
+
+    @pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
+    def test_product_rows_follow_recursive_rules_n10(self, kind):
+        rec = RECURSIVE[kind]
+        g = materialize(kind, 10)
+        for i, u in enumerate(g.words):
+            row = [g.words[j] for j in g.nbrs[i]]
+            assert len(row) == 10
+            assert len(set(row)) == 10
+            assert all(rec(10, u, v) for v in row)
+
+    @pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
+    def test_product_rows_share_the_index_ints(self, kind):
+        g = materialize(kind, 14)
+        assert len({id(x) for row in g.nbrs for x in row}) <= g.num_vertices
+
     @pytest.mark.parametrize(
         "cache,bound",
         [(neighbor_sets, 2), (_cliques, 2), (materialize, 3)],
