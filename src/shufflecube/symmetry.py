@@ -65,7 +65,7 @@ def build_psi(u: VertexWord, v: VertexWord, dim: Dimension) -> AutomorphismSpec:
 def apply_map(spec: AutomorphismSpec, w: VertexWord) -> VertexWord:
     """Apply a blockwise map to one vertex word: the tail by its table, then block j at bit 4j-2."""
     if not 0 <= w <= spec.dim.mask:
-        raise InvalidVertexError(f"word {w:#x} does not fit in {spec.dim.n} bits")
+        raise InvalidVertexError(f"word {w:0{spec.dim.n}b} does not fit in {spec.dim.n} bits")
     images = spec.images
     out = images[0][w & 3]
     for j in range(1, len(images)):

@@ -134,7 +134,10 @@ D_BSQ_LABEL = "D-bsq"
 
 @dataclass(frozen=True, eq=False)
 class BlockGraph:
-    """A per-block factor graph: BFS distance and next-hop tables and a Hamiltonian cycle."""
+    """A per-block factor graph: BFS distance and next-hop tables and a Hamiltonian cycle.
+
+    `routing` derives its per-block step tables from `hop`, once per factor.
+    """
 
     label: str
     nodes: tuple[int, ...]

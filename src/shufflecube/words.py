@@ -51,7 +51,7 @@ def parse_vertex(text: str, dim: Dimension) -> VertexWord:
 def format_vertex(u: VertexWord, dim: Dimension) -> str:
     """Render a vertex word MSB-first, zero padded to width n."""
     if not 0 <= u <= dim.mask:
-        raise InvalidVertexError(f"word {u} does not fit in {dim.n} bits")
+        raise InvalidVertexError(f"word {u:0{dim.n}b} does not fit in {dim.n} bits")
     return format(u, f"0{dim.n}b")
 
 

@@ -142,6 +142,36 @@ class TestRoute:
         )
         assert code == 2
 
+    # Above n = 10 there is no BFS cross-check, so these pin the paths.
+    @pytest.mark.parametrize("kind, src, dst, golden", [
+        ("ssq", "110011110000111100", "001111000011110011", """
+            110011110000111100
+            110011110000110000
+            110011110011110000
+            110011000011110000
+            001111000011110000
+            001111000011110011
+            length: 5
+        """),
+        ("bsq", "101100111000011101", "010011000111100110", """
+            101100111000011101
+            101100111000001001
+            101100111000011001
+            101100111000100101
+            101100110100100101
+            101100110011100101
+            101100110111100101
+            101111000111100101
+            010011000111100101
+            010011000111100110
+            length: 9
+        """),
+    ])
+    def test_golden_n18(self, capsys, kind, src, dst, golden):
+        code, out, err = run_cli(capsys, "route", "--kind", kind, "--n", "18", "--from", src, "--to", dst)
+        assert (code, err) == (0, "")
+        assert out == "".join(line.strip() + "\n" for line in golden.strip().splitlines())
+
 
 # The snake cycles at n = 6: the tail cycle 00 01 10 11 swept forward and
 # back along the block's factor cycle.

@@ -17,9 +17,12 @@ from shufflecube import (
     get_block,
     materialize,
     parse_vertex,
+    product_factors,
     route_bsq,
     route_ssq,
+    set_block,
 )
+from shufflecube.topology import _require_valid
 from oracles import bfs_all
 
 D6 = Dimension(6)
@@ -28,6 +31,104 @@ D10 = Dimension(10)
 
 def all_pairs_dist(g):
     return [bfs_all(g.nbrs, s) for s in range(g.num_vertices)]
+
+
+ROUTES = {TopologyKind.SSQ: route_ssq, TopologyKind.BSQ: route_bsq}
+
+
+def reference_walk(kind, dim, src, dst):
+    """The route hop by hop over each factor's `hop`: blocks 1..k in ascending order, then the tail."""
+    factors = product_factors(kind, dim)
+    path = [src]
+    for j in (*range(1, dim.k + 1), 0):
+        target = get_block(dst, j, dim)
+        while (b := get_block(path[-1], j, dim)) != target:
+            path.append(set_block(path[-1], j, factors[j].hop(b, target), dim))
+    return path
+
+
+def random_vertex(kind, dim, rng):
+    """A uniform vertex: each block drawn from its factor's nodes."""
+    u = 0
+    for j, f in enumerate(product_factors(kind, dim)):
+        u = set_block(u, j, rng.choice(f.nodes), dim)
+    return u
+
+
+def differential_pairs(kind, n):
+    """Every vertex pair at n = 6; 400 seeded pairs above."""
+    if n == 6:
+        words = materialize(kind, 6).words
+        return [(u, v) for u in words for v in words]
+    dim, rng = Dimension(n), random.Random(n)
+    return [(random_vertex(kind, dim, rng), random_vertex(kind, dim, rng)) for _ in range(400)]
+
+
+@pytest.mark.parametrize("kind", [TopologyKind.SSQ, TopologyKind.BSQ])
+@pytest.mark.parametrize("n", [6, 10, 18, 62])
+class TestAgainstReferenceWalk:
+    def test_route_is_the_hop_by_hop_walk(self, kind, n):
+        dim, route = Dimension(n), ROUTES[kind]
+        for u, v in differential_pairs(kind, n):
+            assert route(dim, u, v) == reference_walk(kind, dim, u, v), (u, v)
+
+    def test_distance_is_the_sum_of_factor_distances(self, kind, n):
+        dim, factors = Dimension(n), product_factors(kind, Dimension(n))
+        for u, v in differential_pairs(kind, n):
+            expected = sum(f.distance(get_block(u, j, dim), get_block(v, j, dim)) for j, f in enumerate(factors))
+            assert distance_of(kind, dim, u, v) == expected, (u, v)
+
+
+VALID = 0b110100  # a vertex of SSQ_n and BSQ_n at every n >= 6
+NOT_SSQ = 0b010000  # block 1 has pair1 = 01
+NOT_SSQ_EITHER = 0b100000  # block 1 has pair1 = 10
+
+
+def invalid_pairs(kind, n):
+    """(label, src, dst) pairs that are not vertex pairs of kind at n."""
+    pairs = []
+    for label, w in (("negative", -1), ("1 << n", 1 << n), ("(1 << n) | valid", (1 << n) | VALID)):
+        pairs += [(f"{label} src", w, VALID), (f"{label} dst", VALID, w)]
+    if kind is TopologyKind.SSQ:
+        pairs += [
+            ("bad block in src", NOT_SSQ, VALID),
+            ("bad block in dst", VALID, NOT_SSQ),
+            ("bad blocks in both", NOT_SSQ, NOT_SSQ_EITHER),
+        ]
+    return pairs
+
+
+CALLS = {
+    "route_ssq": (TopologyKind.SSQ, route_ssq),
+    "route_bsq": (TopologyKind.BSQ, route_bsq),
+    "distance_of-SSQ": (TopologyKind.SSQ, lambda dim, u, v: distance_of(TopologyKind.SSQ, dim, u, v)),
+    "distance_of-BSQ": (TopologyKind.BSQ, lambda dim, u, v: distance_of(TopologyKind.BSQ, dim, u, v)),
+}
+
+
+@pytest.mark.parametrize("call", list(CALLS))
+@pytest.mark.parametrize("n", [6, 18])
+def test_invalid_inputs_raise_the_vertex_check_error(call, n):
+    kind, fn = CALLS[call]
+    dim = Dimension(n)
+    for label, u, v in invalid_pairs(kind, n):
+        with pytest.raises(InvalidVertexError) as want:
+            _require_valid(kind, dim, u, v)
+        with pytest.raises(InvalidVertexError) as got:
+            fn(dim, u, v)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value), label
+
+
+def test_both_bad_names_src():
+    with pytest.raises(InvalidVertexError, match="^word 010000 is not a vertex of SSQ_6$"):
+        route_ssq(D6, NOT_SSQ, NOT_SSQ_EITHER)
+
+
+@pytest.mark.parametrize("kind", [TopologyKind.SQ, TopologyKind.Q])
+@pytest.mark.parametrize("u, v", [(0, 1), (-1, 0), (0, 1 << 6), ((1 << 6) | VALID, -1)])
+def test_non_product_kinds_raise_value_error_before_any_vertex_check(kind, u, v):
+    with pytest.raises(ValueError, match=f"^only SSQ and BSQ are block products, not {kind.value}$"):
+        distance_of(kind, D6, u, v)
 
 
 class TestDistanceOf:

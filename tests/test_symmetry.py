@@ -276,6 +276,13 @@ class TestSpecValidation:
             with_table(D10, j, table)
 
 
+class TestApplyMapRange:
+    @pytest.mark.parametrize("w, shown", [(64, "1000000"), (-1, "-00001"), (0b1011011, "1011011")])
+    def test_out_of_range_word_is_named_in_bits(self, w, shown):
+        with pytest.raises(InvalidVertexError, match=f"^word {shown} does not fit in 6 bits$"):
+            apply_map(xor_spec(D6, (0, 0)), w)
+
+
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 @settings(max_examples=150)
 def test_psi_maps_edges_to_edges(u, v, w):

@@ -48,6 +48,11 @@ class TestParseFormat:
         with pytest.raises(InvalidVertexError, match="position 3"):
             parse_vertex("001x01", D6)
 
+    @pytest.mark.parametrize("u, shown", [(64, "1000000"), (-3, "-00011")])
+    def test_format_names_out_of_range_word_in_bits(self, u, shown):
+        with pytest.raises(InvalidVertexError, match=f"^word {shown} does not fit in 6 bits$"):
+            format_vertex(u, D6)
+
     def test_roundtrip_exhaustive_n6(self):
         for u in range(64):
             assert parse_vertex(format_vertex(u, D6), D6) == u
