@@ -21,6 +21,7 @@ from .topology import (
 )
 
 FULL_SCAN_CAP = 1 << 12
+SAMPLE_SOURCES = 64
 
 
 def bfs_distances(g: CubeGraph, src: int) -> list[int]:
@@ -66,18 +67,19 @@ def _scans_vertex_zero(g: CubeGraph) -> bool:
     return g.kind in (TopologyKind.SSQ, TopologyKind.BSQ) and g.n > 10
 
 
-def diameter(g: CubeGraph, sample_sources: int = 64) -> DiameterResult:
+def diameter(g: CubeGraph) -> DiameterResult:
     """Graph diameter.
 
     SSQ and BSQ above n = 10 use the eccentricity of the zero vertex (exact
     by vertex-transitivity).  Otherwise a full all-sources scan up to 2^12
-    vertices; above that, a sampled lower bound, labeled as such.
+    vertices; above that, a lower bound from SAMPLE_SOURCES evenly spaced
+    sources, labeled as such.
     """
     if _scans_vertex_zero(g):
         return DiameterResult(eccentricity(g, g.index_of(0)), "vertex-transitive")
     if g.num_vertices <= FULL_SCAN_CAP:
         return DiameterResult(max(eccentricity(g, s) for s in range(g.num_vertices)), "exhaustive")
-    step = max(1, g.num_vertices // sample_sources)
+    step = max(1, g.num_vertices // SAMPLE_SOURCES)
     value = max(eccentricity(g, s) for s in range(0, g.num_vertices, step))
     return DiameterResult(value, "sampled-lower-bound")
 

@@ -1,7 +1,12 @@
 """The claims suite: every desk-checkable structural property, one record each.
 
-Each record compares an expected value against a brute-force computation.
-Records marked informational document measured values that disagree with the
+Each record compares an expected value against a computation, and its
+description says how the value was established.  Most computations are brute
+force over the materialized graph, but two rest on a lemma: above n = 6 the
+maps records check each block's table against its factor (the Cartesian-
+product lemma), and above n = 10 the SSQ/BSQ diameter and girth scan from
+vertex 0 alone (vertex-transitivity, which the maps records prove).  Records
+marked informational document measured values that disagree with the
 nominal ones usually quoted for these topologies (bad diameter witnesses, and
 the fact that the bit-(4j+1) "equivalent" pairs share only their changed-block
 neighbors, not their full neighborhoods).  The suite passes when every

@@ -29,7 +29,6 @@ result about SQ depends on the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 from functools import lru_cache
 from math import prod
 from enum import Enum
@@ -38,7 +37,6 @@ from .errors import InvalidVertexError, ResourceLimitError
 from .words import (
     Dimension,
     VertexWord,
-    block_width,
     differing_blocks,
     get_block,
     set_block,
@@ -77,10 +75,7 @@ def is_valid_vertex(kind: TopologyKind, dim: Dimension, u: VertexWord) -> bool:
         return False
     if kind in (TopologyKind.Q, TopologyKind.SQ):
         return True
-    for j, nodes in _partial_factors(kind, dim):
-        if get_block(u, j, dim) not in nodes:
-            return False
-    return True
+    return all(get_block(u, j, dim) in f.adj for j, f in enumerate(product_factors(kind, dim)))
 
 
 def _require_valid(kind: TopologyKind, dim: Dimension, *words: VertexWord) -> None:
@@ -134,48 +129,55 @@ D_BSQ_LABEL = "D-bsq"
 
 @dataclass(frozen=True, eq=False)
 class BlockGraph:
-    """A per-block factor graph: BFS distance and next-hop tables and a Hamiltonian cycle.
+    """A per-block factor graph of `width`-bit nodes: its shortest walks and a Hamiltonian cycle.
 
-    `routing` derives its per-block step tables from `hop`, once per factor.
+    `walks[(a << width) | b]` holds the XOR steps of the a->b walk that takes,
+    at every node, the first shortest move in the order the factor lists its
+    moves; None where a or b is not a node.  `routing` shifts these tables
+    into each block.
     """
 
     label: str
+    width: int
     nodes: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
-    dist: dict[tuple[int, int], int]
-    next_hop: dict[tuple[int, int], int] = field(repr=False)
+    walks: tuple[tuple[int, ...] | None, ...] = field(repr=False)
     cycle: tuple[int, ...] = field(repr=False)
 
+    def _walk(self, a: int, b: int) -> tuple[int, ...]:
+        top = 1 << self.width
+        walk = self.walks[a << self.width | b] if 0 <= a < top and 0 <= b < top else None
+        if walk is None:
+            raise KeyError((a, b))
+        return walk
+
     def distance(self, a: int, b: int) -> int:
-        return self.dist[(a, b)]
+        return len(self._walk(a, b))
 
     def hop(self, a: int, b: int) -> int:
-        """First move of a shortest a->b walk, in the order the factor lists its moves."""
-        return self.next_hop[(a, b)]
+        """First move of the a->b walk; KeyError when a == b, as for a pair off the table."""
+        if not (walk := self._walk(a, b)):
+            raise KeyError((a, b))
+        return a ^ walk[0]
 
 
-def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
-    """The tables of a factor whose node a has the neighbors moves(a), in that order."""
+def _build_block_graph(label: str, width: int, nodes, moves) -> BlockGraph:
+    """The tables of a factor of `width`-bit nodes whose node a has the neighbors moves(a), in that order."""
     nodes = tuple(sorted(nodes))
     listed = {a: tuple(moves(a)) for a in nodes}
     adj = {a: tuple(sorted(listed[a])) for a in nodes}
-    dist: dict[tuple[int, int], int] = {}
-    next_hop: dict[tuple[int, int], int] = {}
-    for src in nodes:
-        d = {src: 0}
-        q = deque([src])
-        while q:
-            x = q.popleft()
+    walks: list = [None] * (1 << 2 * width)
+    for dst in nodes:
+        walks[dst << width | dst] = ()
+        d = {dst: 0}
+        order = [dst]
+        for x in order:  # BFS from dst: when y is found, every node one step nearer dst has its walk
             for y in adj[x]:
                 if y not in d:
                     d[y] = d[x] + 1
-                    q.append(y)
-        for dst in nodes:
-            dist[(src, dst)] = d[dst]
-    for src in nodes:
-        for dst in nodes:
-            if src != dst:
-                next_hop[(src, dst)] = next(w for w in listed[src] if dist[(w, dst)] == dist[(src, dst)] - 1)
+                    order.append(y)
+                    h = next(w for w in listed[y] if d.get(w) == d[x])
+                    walks[y << width | dst] = (y ^ h,) + walks[h << width | dst]
     path = [nodes[0]]
     used = {nodes[0]}
 
@@ -195,7 +197,7 @@ def _build_block_graph(label: str, nodes, moves) -> BlockGraph:
 
     found = extend()
     assert found, f"factor graph {label} must be Hamiltonian"
-    return BlockGraph(label, nodes, adj, dist, next_hop, tuple(path))
+    return BlockGraph(label, width, nodes, adj, tuple(walks), tuple(path))
 
 
 def _d_moves(b: int) -> list[int]:
@@ -209,12 +211,12 @@ def _d_moves(b: int) -> list[int]:
 def block_graph(label: str) -> BlockGraph:
     """The factor graph for one coordinate: C4 tail, SSQ block B, or BSQ block D."""
     if label == C4_LABEL:
-        return _build_block_graph(label, range(4), lambda a: [(a + s) % 4 for s in (1, -1)])
+        return _build_block_graph(label, 2, range(4), lambda a: [(a + s) % 4 for s in (1, -1)])
     if label == B_SSQ_LABEL:
         nodes = [b for b in range(16) if pair1(b) in (0, 3)]
-        return _build_block_graph(label, nodes, lambda a: [a ^ d for d in (0b1111, 0b0001, 0b0010, 0b0011)])
+        return _build_block_graph(label, 4, nodes, lambda a: [a ^ d for d in (0b1111, 0b0001, 0b0010, 0b0011)])
     if label == D_BSQ_LABEL:
-        return _build_block_graph(label, range(16), _d_moves)
+        return _build_block_graph(label, 4, range(16), _d_moves)
     raise ValueError(f"unknown block graph label {label!r}")
 
 
@@ -225,13 +227,6 @@ def product_factors(kind: TopologyKind, dim: Dimension) -> tuple[BlockGraph, ...
     if kind not in labels:
         raise ValueError(f"only SSQ and BSQ are block products, not {kind.value}")
     return (block_graph(C4_LABEL),) + (block_graph(labels[kind]),) * dim.k
-
-
-@lru_cache(maxsize=None)
-def _partial_factors(kind: TopologyKind, dim: Dimension) -> tuple[tuple[int, frozenset], ...]:
-    """(j, factor nodes) for the blocks whose factor leaves out some block values."""
-    factors = enumerate(product_factors(kind, dim))
-    return tuple((j, frozenset(f.nodes)) for j, f in factors if len(f.nodes) < 1 << block_width(j))
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,8 @@ class TestDistances:
         result = diameter(big_bsq)
         assert (result.value, result.method) == (14, "vertex-transitive")
         big_sq = materialize(TopologyKind.SQ, 14)
-        sampled = diameter(big_sq, sample_sources=4)
-        assert sampled.method == "sampled-lower-bound"
-        assert sampled.value >= 3
+        sampled = diameter(big_sq)
+        assert (sampled.method, sampled.value) == ("sampled-lower-bound", 7)
 
     def test_ssq_and_bsq_above_n10_scan_from_vertex_zero(self):
         ssq14 = materialize(TopologyKind.SSQ, 14)

@@ -280,6 +280,9 @@ class TestHamiltonian:
         assert err.startswith("error: ")
 
 
+CLAIMS_N14_SHA256 = "1b1a7d56664e0bd278c0d77a5ece4bd3d69ef0881df0134adbd00784a16f4ac8"
+
+
 class TestVerifyClaims:
     def test_bad_dimension_is_usage_error(self, capsys):
         for n, message in (("7", "mod 4"), ("2", "claims suite supports 6 <= n <= 14, got 2")):
@@ -333,6 +336,11 @@ class TestVerifyClaims:
     def test_matches_golden_n6(self, claims6_run):
         golden = pathlib.Path(__file__).parent / "data" / "claims_n6.json"
         assert claims6_run[1] == golden.read_text()
+
+    def test_n14_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-claims", "14", "--no-timing")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CLAIMS_N14_SHA256
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent

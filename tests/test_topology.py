@@ -150,13 +150,35 @@ class TestBlockGraphs:
     def test_distance_table_properties(self, label):
         bg = block_graph(label)
         for a in bg.nodes:
-            assert bg.dist[(a, a)] == 0
+            reached = {a: 0}
+            order = [a]
+            for x in order:
+                for y in bg.adj[x]:
+                    if y not in reached:
+                        reached[y] = reached[x] + 1
+                        order.append(y)
+            assert sorted(reached) == list(bg.nodes)
             for b in bg.nodes:
-                assert bg.dist[(a, b)] == bg.dist[(b, a)]
+                assert bg.distance(a, b) == reached[b] == bg.distance(b, a)
                 if a != b:
                     hop = bg.hop(a, b)
                     assert hop in bg.adj[a]
-                    assert bg.dist[(hop, b)] == bg.dist[(a, b)] - 1
+                    assert bg.distance(hop, b) == bg.distance(a, b) - 1
+
+    @pytest.mark.parametrize("label,width", [(C4_LABEL, 2), (B_SSQ_LABEL, 4), (D_BSQ_LABEL, 4)])
+    def test_pairs_outside_the_table_raise_key_error(self, label, width):
+        bg = block_graph(label)
+        node = bg.nodes[-1]
+        outside = [1 << width, -1] + ([0b0100] if label == B_SSQ_LABEL else [])
+        for bad in outside:
+            for pair in ((bad, node), (node, bad)):
+                with pytest.raises(KeyError):
+                    bg.distance(*pair)
+                with pytest.raises(KeyError):
+                    bg.hop(*pair)
+        for a in bg.nodes:
+            with pytest.raises(KeyError):
+                bg.hop(a, a)
 
     def test_hop_tie_break_follows_listed_moves(self):
         # C4 lists +1 before -1; B lists XOR 1111 before 0001, 0010, 0011.
