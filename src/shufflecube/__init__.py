@@ -58,6 +58,7 @@ from .analysis import (
     bsq_pattern_pairs,
     clique_number,
     diameter,
+    eccentricities,
     eccentricity,
     edge_transitivity_certificate,
     girth,

@@ -4,6 +4,9 @@ Everything here works from the materialized adjacency alone: BFS distances,
 girth, bipartiteness with odd-cycle witnesses, triangle and 4-clique censuses,
 automorphism-invariant transitivity certificates, and extensional
 same-neighborhood censuses.
+
+BFS steps whole frontiers: level sets from one source (`_levels`) and every
+vertex's ball at once as an int bitmask (`eccentricities`), both exhaustive.
 """
 from __future__ import annotations
 
@@ -24,31 +27,69 @@ FULL_SCAN_CAP = 1 << 12
 SAMPLE_SOURCES = 64
 
 
+def _levels(nbrs, src: int):
+    """Yield (level, reach) per BFS level from src: the vertex set at distance d and the union of its rows.
+
+    Rows of level d reach only levels d - 1, d and d + 1, so reach minus the two
+    becomes the next level on resume: no visited set, at most three sets alive.
+    """
+    prev, level = set(), {src}
+    while level:
+        reach = set().union(*map(nbrs.__getitem__, level))
+        yield level, reach
+        reach.difference_update(level, prev)
+        prev, level = level, reach
+
+
 def bfs_distances(g: CubeGraph, src: int) -> list[int]:
     """BFS distances from a dense vertex index; -1 marks unreachable vertices."""
     dist = [-1] * g.num_vertices
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        for y in g.nbrs[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                q.append(y)
+    for d, (level, _) in enumerate(_levels(g.nbrs, src)):
+        for v in level:
+            dist[v] = d
     return dist
 
 
 def eccentricity(g: CubeGraph, src: int) -> int:
-    dist = bfs_distances(g, src)
-    unreachable = dist.count(-1)
+    """The number of BFS levels from src minus one; DisconnectedGraphError if a vertex is unreached."""
+    sizes = [len(level) for level, _ in _levels(g.nbrs, src)]
+    unreachable = g.num_vertices - sum(sizes)
     if unreachable:
         raise DisconnectedGraphError(unreachable)
-    return max(dist)
+    return len(sizes) - 1
+
+
+def eccentricities(g: CubeGraph) -> list[int]:
+    """Every vertex's eccentricity, growing all balls at once as int bitmasks.
+
+    Round r ORs last round's balls over v's row into ball[v]; v drops out when
+    its ball is full (eccentricity r) or stops growing.  Raises what
+    eccentricity(g, 0) raises on a disconnected graph.
+    """
+    nbrs, full = g.nbrs, (1 << g.num_vertices) - 1
+    ball = [1 << v for v in range(g.num_vertices)]
+    ecc = [0] * g.num_vertices
+    live, radius = [v for v in range(g.num_vertices) if ball[v] != full], 0
+    while live:
+        radius += 1
+        last, grown = ball.copy(), []
+        for v in live:
+            b = last[v]
+            for u in nbrs[v]:
+                b |= last[u]
+            ball[v] = b
+            if b == full:
+                ecc[v] = radius
+            elif b != last[v]:
+                grown.append(v)
+        live = grown
+    if ball and ball[0] != full:
+        raise DisconnectedGraphError(g.num_vertices - ball[0].bit_count())
+    return ecc
 
 
 def is_connected(g: CubeGraph) -> bool:
-    return bfs_distances(g, 0).count(-1) == 0
+    return sum(len(level) for level, _ in _levels(g.nbrs, 0)) == g.num_vertices
 
 
 @dataclass(frozen=True)
@@ -71,14 +112,14 @@ def diameter(g: CubeGraph) -> DiameterResult:
     """Graph diameter.
 
     SSQ and BSQ above n = 10 use the eccentricity of the zero vertex (exact
-    by vertex-transitivity).  Otherwise a full all-sources scan up to 2^12
-    vertices; above that, a lower bound from SAMPLE_SOURCES evenly spaced
-    sources, labeled as such.
+    by vertex-transitivity).  Otherwise every vertex's eccentricity from
+    `eccentricities` up to 2^12 vertices; above that, a lower bound from
+    SAMPLE_SOURCES evenly spaced sources, labeled as such.
     """
     if _scans_vertex_zero(g):
         return DiameterResult(eccentricity(g, g.index_of(0)), "vertex-transitive")
     if g.num_vertices <= FULL_SCAN_CAP:
-        return DiameterResult(max(eccentricity(g, s) for s in range(g.num_vertices)), "exhaustive")
+        return DiameterResult(max(eccentricities(g)), "exhaustive")
     step = max(1, g.num_vertices // SAMPLE_SOURCES)
     value = max(eccentricity(g, s) for s in range(0, g.num_vertices, step))
     return DiameterResult(value, "sampled-lower-bound")
@@ -122,30 +163,38 @@ class BipartitionResult:
 
 
 def bipartition(g: CubeGraph) -> BipartitionResult:
-    """A two-coloring when one exists, else an odd-cycle witness (dense indices)."""
+    """A two-coloring when one exists, else an odd-cycle witness (dense indices).
+
+    Each component, from its lowest index, is colored by BFS level parity; the
+    graph is bipartite unless some level's rows reach into the level itself.
+    """
+    color = [-1] * g.num_vertices
+    for root in range(g.num_vertices):
+        if color[root] < 0:
+            for d, (level, reach) in enumerate(_levels(g.nbrs, root)):
+                if not reach.isdisjoint(level):
+                    return BipartitionResult(None, _odd_cycle(g))
+                for v in level:
+                    color[v] = d & 1
+    return BipartitionResult(tuple(color), None)
+
+
+def _odd_cycle(g: CubeGraph) -> tuple[int, ...]:
+    """The odd cycle closed by the first same-parity edge in index order, through the BFS-tree paths."""
     n = g.num_vertices
     dist = [-1] * n
     parent = [-1] * n
     for root in range(n):
-        if dist[root] >= 0:
-            continue
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            x = q.popleft()
-            for y in g.nbrs[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-    for x in range(n):
-        for y in g.nbrs[x]:
-            if y > x and dist[x] % 2 == dist[y] % 2:
-                return BipartitionResult(None, _odd_cycle(parent, x, y))
-    return BipartitionResult(tuple(d % 2 for d in dist), None)
-
-
-def _odd_cycle(parent: list[int], x: int, y: int) -> tuple[int, ...]:
+        if dist[root] < 0:
+            dist[root] = 0
+            q = deque([root])
+            while q:
+                x = q.popleft()
+                for y in g.nbrs[x]:
+                    if dist[y] < 0:
+                        dist[y], parent[y] = dist[x] + 1, x
+                        q.append(y)
+    x, y = next((x, y) for x in range(n) for y in g.nbrs[x] if y > x and dist[x] % 2 == dist[y] % 2)
     up_x = [x]
     while parent[up_x[-1]] >= 0:
         up_x.append(parent[up_x[-1]])
@@ -257,7 +306,7 @@ def vertex_transitivity_certificate(g: CubeGraph) -> TransitivityCertificate:
     profiles = [(g.degree(i), tri[i], k4[i]) for i in range(g.num_vertices)]
     cert = _first_profile_mismatch(g, profiles, names=("degree", "triangles", "k4"))
     if cert is None and g.num_vertices <= FULL_SCAN_CAP:
-        profiles = [(eccentricity(g, i),) for i in range(g.num_vertices)]
+        profiles = [(e,) for e in eccentricities(g)]
         cert = _first_profile_mismatch(g, profiles, names=("eccentricity",))
     return cert or TransitivityCertificate("no-invariant-obstruction")
 

@@ -1,7 +1,9 @@
 """Brute-force analytics: distances, girth, bipartiteness, cliques, censuses."""
+from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflecube import analysis
 from shufflecube import (
@@ -17,11 +19,13 @@ from shufflecube import (
     bsq_pattern_pairs,
     clique_number,
     diameter,
+    eccentricities,
     eccentricity,
     edge_transitivity_certificate,
     format_vertex,
     get_block,
     girth,
+    is_connected,
     k4_census,
     materialize,
     neighbor_sets,
@@ -31,9 +35,60 @@ from shufflecube import (
     vertex_transitivity_certificate,
 )
 
-from oracles import bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
+from oracles import bfs_all, bsq_adjacent_rec, sq_adjacent_rec, ssq_adjacent_rec, ssq_valid_rec
 
 D6 = Dimension(6)
+EVERY_KIND_AT_2_6_10 = pytest.mark.parametrize(
+    "kind,n", [(kind, n) for kind in TopologyKind for n in (2, 6, 10)]
+)
+
+
+def graph_of(rows) -> CubeGraph:
+    """A hand-made graph over words 0..len(rows)-1 from its adjacency rows."""
+    rows = tuple(tuple(sorted(row)) for row in rows)
+    words = tuple(range(len(rows)))
+    return CubeGraph(TopologyKind.Q, 6, words, {w: w for w in words}, rows, sum(map(len, rows)) // 2)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1 to 40 vertices with 0 to 60 random edges: isolated vertices and islands included."""
+    size = draw(st.integers(1, 40))
+    vertex = st.integers(0, size - 1)
+    rows = [set() for _ in range(size)]
+    for x, y in draw(st.lists(st.tuples(vertex, vertex), max_size=60)):
+        if x != y:
+            rows[x].add(y)
+            rows[y].add(x)
+    return graph_of(rows)
+
+
+def reference_bipartition(g):
+    """The coloring and odd cycle of a deque BFS over every component, then an index-order edge scan."""
+    n = g.num_vertices
+    dist = [-1] * n
+    parent = [-1] * n
+    for root in range(n):
+        if dist[root] < 0:
+            dist[root] = 0
+            q = deque([root])
+            while q:
+                x = q.popleft()
+                for y in g.nbrs[x]:
+                    if dist[y] < 0:
+                        dist[y], parent[y] = dist[x] + 1, x
+                        q.append(y)
+    for x in range(n):
+        for y in g.nbrs[x]:
+            if y > x and dist[x] % 2 == dist[y] % 2:
+                up_x = [x]
+                while parent[up_x[-1]] >= 0:
+                    up_x.append(parent[up_x[-1]])
+                up_y = [y]
+                while up_y[-1] not in up_x:
+                    up_y.append(parent[up_y[-1]])
+                return None, tuple(up_x[: up_x.index(up_y[-1]) + 1] + up_y[-2::-1])
+    return tuple(d % 2 for d in dist), None
 
 
 class TestDistances:
@@ -97,6 +152,42 @@ class TestDistances:
         assert from_zero[0].value == exhaustive[0].value and from_zero[1] == exhaustive[1]
 
 
+class TestFrontierKernels:
+    """Level-set BFS and all-sources ball growth against the oracle BFS."""
+
+    @EVERY_KIND_AT_2_6_10
+    def test_match_oracle_bfs_from_every_source(self, kind, n):
+        g = materialize(kind, n)
+        expected = []
+        for s in range(g.num_vertices):
+            dist = bfs_all(g.nbrs, s)
+            assert bfs_distances(g, s) == dist
+            assert eccentricity(g, s) == max(dist)
+            expected.append(max(dist))
+        assert eccentricities(g) == expected
+        assert is_connected(g)
+
+    @given(small_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_match_oracle_bfs_on_small_graphs(self, g):
+        from_zero = bfs_all(g.nbrs, 0)
+        assert is_connected(g) == (-1 not in from_zero)
+        for s in range(g.num_vertices):
+            assert bfs_distances(g, s) == bfs_all(g.nbrs, s)
+        if -1 not in from_zero:
+            expected = [max(bfs_all(g.nbrs, s)) for s in range(g.num_vertices)]
+            assert eccentricities(g) == [eccentricity(g, s) for s in range(g.num_vertices)] == expected
+            assert diameter(g) == analysis.DiameterResult(max(expected), "exhaustive")
+            return
+        with pytest.raises(DisconnectedGraphError) as at_zero:
+            eccentricity(g, 0)
+        assert at_zero.value.unreachable == from_zero.count(-1)
+        for oracle in (eccentricities, diameter):
+            with pytest.raises(DisconnectedGraphError) as exc:
+                oracle(g)
+            assert exc.value.unreachable == at_zero.value.unreachable
+
+
 class TestGirth:
     def test_values(self, sq6, ssq6, bsq6, q6):
         assert girth(sq6) == 3
@@ -139,6 +230,34 @@ class TestBipartition:
         part = bipartition(q6)
         parities = [w.bit_count() % 2 for w in q6.words]
         assert list(part.coloring) in (parities, [1 - p for p in parities])
+
+    @EVERY_KIND_AT_2_6_10
+    def test_matches_reference_scan(self, kind, n):
+        g = materialize(kind, n)
+        part = bipartition(g)
+        assert (part.coloring, part.odd_cycle) == reference_bipartition(g)
+
+    @given(small_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan_on_small_graphs(self, g):
+        part = bipartition(g)
+        assert (part.coloring, part.odd_cycle) == reference_bipartition(g)
+
+    @pytest.mark.parametrize(
+        "rows,coloring,odd_cycle",
+        [
+            # two paths, 0-3-4 and 1-5-2: each restarts at its lowest index with color 0
+            ([{3}, {5}, {5}, {0, 4}, {3}, {1, 2}], (0, 0, 0, 1, 0, 1), None),
+            # a bipartite path 0-1-2, then the triangle 3-4-5 holds the witness
+            ([{1}, {0, 2}, {1}, {4, 5}, {3, 5}, {3, 4}], None, (4, 3, 5)),
+            ([()], (0,), None),
+        ],
+        ids=["two-islands", "path-then-triangle", "single-vertex"],
+    )
+    def test_hand_made_graphs(self, rows, coloring, odd_cycle):
+        g = graph_of(rows)
+        part = bipartition(g)
+        assert (part.coloring, part.odd_cycle) == (coloring, odd_cycle) == reference_bipartition(g)
 
 
 class TestCliques:

@@ -59,7 +59,22 @@ class TestGenerate:
         assert "cap" in err
 
 
+ANALYZE_N10_SHA256 = {
+    "q": "88a5bab446d56781adb8c3420d08a35fb7075c857656d87da5172b5786febfd2",
+    "sq": "c23802c2f512cc3cda280a7acdda3946acd26e4972f8fd6838fc398c99fbf68d",
+    "ssq": "de5b2acad028da1649d92fd500922c34a8b78302646aafa0843ab48021b78890",
+    "bsq": "fa4e6c263657b89cc87c8c0c42b48eb2a65bb7f831fe884b04595a8ee9c7c9c9",
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("kind", sorted(ANALYZE_N10_SHA256))
+    def test_n10_digest(self, capsys, kind):
+        """Every default check at n = 10, odd-cycle length, diameter method and certificates included."""
+        code, out, _ = run_cli(capsys, "analyze", "--kind", kind, "--n", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_N10_SHA256[kind]
+
     def test_girth(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--kind", "SQ", "--n", "6", "--checks", "girth")
         assert code == 0
